@@ -79,74 +79,3 @@ from .qt import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "INF",
-    "Condensation",
-    "Digraph",
-    "DistanceMatrix",
-    "build",
-    "distance_matrix",
-    "distances_from",
-    "induced",
-    "reverse",
-    "strong_components",
-    "QkError",
-    "LoopArc",
-    "DuplicateArc",
-    "VertexOutOfRange",
-    "InstanceTooLarge",
-    "NotQuasiTransitiveInput",
-    "NotSemicomplete",
-    "ArityMismatch",
-    "EdgeListParseError",
-    "emit",
-    "parse",
-    "content_digest",
-    "read_digraph",
-    "write_digraph",
-    "QtViolation",
-    "GenConfig",
-    "RANDOM",
-    "FORWARD",
-    "DEFAULT_ENUM_CAP",
-    "enum_cap",
-    "mix_seed",
-    "is_k_quasi_transitive",
-    "certify_qt",
-    "qt_closure",
-    "random_qt",
-    "compose",
-    "out_eccentricity",
-    "all_eccentricities",
-    "all_r_kings",
-    "has_unique_initial_component",
-    "degree_threshold_vertices",
-    "find_kplus1_king_fast",
-    "semicomplete_two_king",
-    "AuditRow",
-    "KingReport",
-    "census",
-    "VERIFIED",
-    "REFUTED",
-    "KernelCertificate",
-    "verify_kernel",
-    "construct_kplus2_kernel",
-    "exhaustive_kernel_search",
-    "Counterexample",
-    "HuntLedger",
-    "hunt_conjecture",
-    "recheck_counterexample",
-    "Violation",
-    "CheckResult",
-    "CHECKERS",
-    "LEMMA_CHECKS",
-    "KING_CHECKS",
-    "kings_corpus",
-    "lemma_corpus",
-    "run_checker",
-    "run_suite",
-    "summarize",
-    "revalidate",
-    "__version__",
-]

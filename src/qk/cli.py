@@ -140,14 +140,13 @@ def _cmd_kings(args) -> int:
     return 0
 
 
-def _parse_set(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma- or space-separated integers; what names them in the error."""
     text = text.strip()
-    if not text:
-        return ()
     try:
         return tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
-        raise QkError(f"cannot parse vertex set {text!r}")
+        raise QkError(f"cannot parse {what} {text!r}")
 
 
 def _cmd_kernel(args) -> int:
@@ -167,7 +166,7 @@ def _cmd_kernel(args) -> int:
     indep = args.indep if args.indep is not None else args.k + 1
     absorb = args.absorb if args.absorb is not None else args.k
     if args.verify is not None:
-        cert = verify_kernel(d, _parse_set(args.verify), indep, absorb)
+        cert = verify_kernel(d, _parse_ints(args.verify, "vertex set"), indep, absorb)
         witness = "" if cert.verified else f" witness {cert.witness}"
         _emit(
             args,
@@ -229,18 +228,8 @@ def _cmd_hunt(args) -> int:
     return 2 if ledger.refuted else 0
 
 
-def _parse_k_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise QkError(f"cannot parse k list {text!r}")
-
-
 def _cmd_lemmas(args) -> int:
-    k_values = _parse_k_list(args.k_list)
+    k_values = _parse_ints(args.k_list, "k list")
     kings_trials = args.trials if args.trials is not None else args.kings_trials
     lemma_trials = args.trials if args.trials is not None else args.lemma_trials
     results = run_suite(

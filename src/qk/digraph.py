@@ -114,13 +114,19 @@ def distances_from(d: Digraph, s: int) -> list[float]:
     """BFS hop counts from s; unreachable vertices get INF."""
     if not (0 <= s < d.n):
         raise VertexOutOfRange(s, d.n)
-    dist: list[float] = [INF] * d.n
+    return bfs(d.adj, s)
+
+
+def bfs(rows, s: int) -> list[float]:
+    """BFS hop counts from s over adjacency rows (row x holds the vertices
+    one hop from x); unreachable vertices get INF.  Trusts s to be in range."""
+    dist: list[float] = [INF] * len(rows)
     dist[s] = 0
     q = deque([s])
     while q:
         x = q.popleft()
         nd = dist[x] + 1
-        for y in d.adj[x]:
+        for y in rows[x]:
             if dist[y] is INF:
                 dist[y] = nd
                 q.append(y)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 
-from .digraph import Digraph, build
-from .errors import DuplicateArc, EdgeListParseError, LoopArc, VertexOutOfRange
+from .digraph import Digraph
+from .errors import EdgeListParseError
 
 
 def emit(d: Digraph) -> str:
@@ -42,8 +42,7 @@ def parse(text: str) -> Digraph:
     count that disagrees with the header.
     """
     header: tuple[int, int] | None = None
-    arcs: list[tuple[int, int]] = []
-    arc_lines: list[int] = []
+    arcs: list[tuple[int, int, int]] = []
     last_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         last_line = line_no
@@ -63,8 +62,7 @@ def parse(text: str) -> Digraph:
             raise EdgeListParseError(
                 line_no, f"more than the {header[1]} arcs announced in the header"
             )
-        arcs.append((a, b))
-        arc_lines.append(line_no)
+        arcs.append((a, b, line_no))
     if header is None:
         raise EdgeListParseError(last_line + 1, "missing header line 'n m'")
     n, m = header
@@ -73,7 +71,8 @@ def parse(text: str) -> Digraph:
             last_line + 1, f"header announced {m} arcs but file has {len(arcs)}"
         )
     seen = set()
-    for (u, v), line_no in zip(arcs, arc_lines):
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v, line_no in arcs:
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(line_no, f"vertex out of range for n={n}: {u} {v}")
         if u == v:
@@ -81,10 +80,8 @@ def parse(text: str) -> Digraph:
         if (u, v) in seen:
             raise EdgeListParseError(line_no, f"duplicate arc ({u}, {v})")
         seen.add((u, v))
-    try:
-        return build(n, arcs)
-    except (LoopArc, DuplicateArc, VertexOutOfRange) as exc:  # pragma: no cover
-        raise EdgeListParseError(last_line, str(exc))
+        rows[u].append(v)
+    return Digraph(n, tuple(tuple(sorted(row)) for row in rows))
 
 
 def read_digraph(path: str) -> Digraph:

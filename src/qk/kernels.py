@@ -16,8 +16,9 @@ import itertools
 import random as _random
 from dataclasses import dataclass
 
-from .digraph import Digraph, build, distances_from, induced, reverse, strong_components
+from .digraph import Digraph, build, distances_from, reverse, strong_components
 from .errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
+from .kings import max_degree_vertex
 from .qt import GenConfig, certify_qt, mix_seed, random_qt
 
 VERIFIED = "VERIFIED"
@@ -107,14 +108,9 @@ def construct_kplus2_kernel(d: Digraph, k: int) -> tuple[int, ...]:
         return ()
     rev = reverse(d)
     cond = strong_components(rev)
-    picks = []
-    for idx in cond.initial:
-        comp = cond.components[idx]
-        sub, remap = induced(rev, comp)
-        degs = {orig: sub.out_degree(new) for orig, new in remap.items()}
-        dmax = max(degs.values())
-        picks.append(min(v for v, dv in degs.items() if dv == dmax))
-    s = tuple(sorted(picks))
+    s = tuple(
+        sorted(max_degree_vertex(rev, cond.components[idx]) for idx in cond.initial)
+    )
     cert = verify_kernel(d, s, k + 2, k + 1)
     if not cert.verified:
         raise NotQuasiTransitiveInput(

@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .digraph import (
-    INF,
-    Digraph,
-    distances_from,
-    induced,
-    strong_components,
-)
+from .digraph import INF, Digraph, distances_from, strong_components
 from .errors import NotQuasiTransitiveInput, NotSemicomplete, VertexOutOfRange
 
 
@@ -56,9 +50,18 @@ def _threshold(k: int) -> int:
     return k if k % 2 == 0 else (k - 1) // 2
 
 
-def _component_out_degrees(d: Digraph, comp: tuple[int, ...]) -> dict[int, int]:
-    sub, remap = induced(d, comp)
-    return {orig: sub.out_degree(new) for orig, new in remap.items()}
+def _component_out_degrees(d: Digraph, comp) -> dict[int, int]:
+    """Out-degree of each vertex of comp, counting only arcs into comp."""
+    members = set(comp)
+    return {v: len(members.intersection(d.adj[v])) for v in comp}
+
+
+def max_degree_vertex(d: Digraph, comp) -> int:
+    """Smallest vertex of the non-empty vertex set comp whose out-degree,
+    counted inside comp, is maximum."""
+    degs = _component_out_degrees(d, comp)
+    dmax = max(degs.values())
+    return min(v for v, dv in degs.items() if dv == dmax)
 
 
 def degree_threshold_vertices(d: Digraph, k: int) -> tuple[int, ...]:
@@ -92,9 +95,7 @@ def find_kplus1_king_fast(d: Digraph, k: int) -> int | None:
     unique, comp = has_unique_initial_component(d)
     if not unique:
         return None
-    degs = _component_out_degrees(d, comp)
-    dmax = max(degs.values())
-    king = min(v for v, dv in degs.items() if dv == dmax)
+    king = max_degree_vertex(d, comp)
     if max(distances_from(d, king)) > k + 1:
         raise NotQuasiTransitiveInput(
             f"vertex {king} has out-eccentricity > {k + 1}; "
@@ -115,8 +116,7 @@ def semicomplete_two_king(d: Digraph) -> int:
         for v in range(u + 1, d.n):
             if not d.adjacent(u, v):
                 raise NotSemicomplete(u, v)
-    dmax = d.max_out_degree()
-    king = min(v for v in range(d.n) if d.out_degree(v) == dmax)
+    king = max_degree_vertex(d, range(d.n))
     ecc = max(distances_from(d, king))
     assert ecc <= 2, f"max out-degree vertex {king} has eccentricity {ecc}"
     return king
@@ -269,9 +269,7 @@ def census(d: Digraph, k: int, checked: bool = False) -> KingReport:
     rows: list[AuditRow] = []
     if unique:
         assert comp is not None
-        degs = _component_out_degrees(d, comp)
-        dmax = max(degs.values())
-        candidate = min(v for v, dv in degs.items() if dv == dmax)
+        candidate = max_degree_vertex(d, comp)
         if ecc[candidate] <= k + 1:
             fast = candidate
         else:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import os
 import random
-from collections import deque
 from dataclasses import dataclass
 
-from .digraph import Digraph, build
+from .digraph import Digraph, bfs, build
 from .errors import ArityMismatch, InstanceTooLarge, VertexOutOfRange
 
 RANDOM = "RANDOM"
@@ -99,33 +98,27 @@ class GenConfig:
             raise ValueError(f"unknown orientation rule {self.orientation_rule!r}")
 
 
-def _dist_to_target(succ: list[set[int]], n: int, target: int) -> list[float]:
-    """Hop counts TO target (BFS over reversed adjacency built on the fly)."""
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for x in range(n):
-        for y in succ[x]:
-            pred[y].append(x)
-    dist: list[float] = [float("inf")] * n
-    dist[target] = 0
-    q = deque([target])
-    while q:
-        x = q.popleft()
-        nd = dist[x] + 1
-        for y in pred[x]:
-            if dist[y] == float("inf"):
-                dist[y] = nd
-                q.append(y)
-    return dist
+def _arc_sets(d: Digraph) -> tuple[list[set[int]], list[set[int]]]:
+    """Successor and predecessor sets of d, for callers that add arcs."""
+    succ = [set(row) for row in d.adj]
+    pred: list[set[int]] = [set() for _ in range(d.n)]
+    for u, row in enumerate(d.adj):
+        for v in row:
+            pred[v].add(u)
+    return succ, pred
 
 
-def _k_path_exists(succ: list[set[int]], n: int, u: int, v: int, k: int) -> bool:
-    """Exact DFS for a k-arc vertex-distinct path u -> v over set adjacency."""
+def _k_path_exists(
+    succ: list[set[int]], pred: list[set[int]], u: int, v: int, k: int
+) -> bool:
+    """Exact DFS for a k-arc vertex-distinct path u -> v over set adjacency;
+    pred must hold the same arcs as succ, reversed."""
     if u == v:
         return False
-    back = _dist_to_target(succ, n, v)
+    back = bfs(pred, v)
     if back[u] > k:
         return False
-    visited = [False] * n
+    visited = [False] * len(succ)
     visited[u] = True
 
     def walk(x: int, rem: int) -> bool:
@@ -157,7 +150,7 @@ def has_k_path(d: Digraph, u: int, v: int, k: int) -> bool:
         if not (0 <= x < d.n):
             raise VertexOutOfRange(x, d.n)
     _require_enumerable(d.n)
-    return _k_path_exists([set(row) for row in d.adj], d.n, u, v, k)
+    return _k_path_exists(*_arc_sets(d), u, v, k)
 
 
 def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
@@ -193,6 +186,26 @@ def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
     return violations
 
 
+def _joined_pairs(succ: list[set[int]], pred: list[set[int]], k: int):
+    """Yield (a, b) for each unordered non-adjacent pair {u, v}, u < v in
+    lexicographic order, that a k-arc path joins, oriented along the path
+    (u -> v is tried first).
+
+    Lazy on purpose: adjacency is tested against the sets as they are when
+    the scan reaches a pair, so arcs the consumer adds between yields are
+    seen by the rest of the scan.
+    """
+    n = len(succ)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if v in succ[u] or u in succ[v]:
+                continue
+            if _k_path_exists(succ, pred, u, v, k):
+                yield u, v
+            elif _k_path_exists(succ, pred, v, u, k):
+                yield v, u
+
+
 def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph:
     """Add arcs until the digraph is k-quasi-transitive.
 
@@ -209,26 +222,17 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
         raise ValueError(f"unknown orientation rule {rule!r}")
     _require_enumerable(d.n)
     rng = random.Random(seed)
-    n = d.n
-    succ = [set(row) for row in d.adj]
+    succ, pred = _arc_sets(d)
     while True:
         added = False
-        for u in range(n):
-            for v in range(u + 1, n):
-                if v in succ[u] or u in succ[v]:
-                    continue
-                if _k_path_exists(succ, n, u, v, k):
-                    a, b = u, v
-                elif _k_path_exists(succ, n, v, u, k):
-                    a, b = v, u
-                else:
-                    continue
-                if rule == RANDOM and rng.random() >= 0.5:
-                    a, b = b, a
-                succ[a].add(b)
-                added = True
+        for a, b in _joined_pairs(succ, pred, k):
+            if rule == RANDOM and rng.random() >= 0.5:
+                a, b = b, a
+            succ[a].add(b)
+            pred[b].add(a)
+            added = True
         if not added:
-            return Digraph(n, tuple(tuple(sorted(row)) for row in succ))
+            return Digraph(d.n, tuple(tuple(sorted(row)) for row in succ))
 
 
 def random_qt(cfg: GenConfig) -> Digraph:
@@ -283,13 +287,4 @@ def certify_qt(d: Digraph, k: int) -> bool:
     if k < 2:
         raise ValueError("k must be >= 2")
     _require_enumerable(d.n)
-    succ = [set(row) for row in d.adj]
-    for u in range(d.n):
-        for v in range(u + 1, d.n):
-            if v in succ[u] or u in succ[v]:
-                continue
-            if _k_path_exists(succ, d.n, u, v, k) or _k_path_exists(
-                succ, d.n, v, u, k
-            ):
-                return False
-    return True
+    return next(_joined_pairs(*_arc_sets(d), k), None) is None

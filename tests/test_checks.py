@@ -8,6 +8,7 @@ prove they can actually catch a false claim.  All expected witnesses below
 are hand-derived from the distance matrices.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -28,6 +29,7 @@ from qk.checks import (
     run_suite,
     summarize,
 )
+from qk.edgelist import emit
 from qk.qt import GenConfig, certify_qt, random_qt
 
 
@@ -283,7 +285,41 @@ class TestRunChecker:
         assert result.passed
 
 
+# SHA-256 over the canonical edge lists of kings_corpus(k, trials=40), then
+# of lemma_corpus(k, trials=12).  The RANDOM closure rule draws its coin
+# flips in pair-scan order, so a change to the scan order, the coin flips or
+# the generator shows here first.  Such a change alters every corpus the
+# checkers and the benchmark run on: log it, never re-record in passing.
+CORPUS_DIGESTS = {
+    2: (
+        "e1b5d48a499220d143d634f8f247384bb0863ed6ae22edca9e11e15be23b864c",
+        "751a765752bd92026131b511f0aa663ddcd2466a0e6d06863250c0c06bf34d1d",
+    ),
+    3: (
+        "204086ab60a027b68ab5ea585f46afed36bc77e54d0e42a2659555c7f90af7a6",
+        "c8bd014edbab81c8a0a27e38a8322bab56ec2739ed6d28d1bf147c5303baeb30",
+    ),
+    4: (
+        "af8dbde3273b29f370a9adbc3fea168f08bd28e3cff3446b17474a254f8388bc",
+        "9043421b5e2186aafcf24a5137157a2e2002110022b0680add6ce1b97256b1c6",
+    ),
+}
+
+
+def _corpus_digest(corpus) -> str:
+    h = hashlib.sha256()
+    for d in corpus:
+        h.update(emit(d).encode("ascii"))
+    return h.hexdigest()
+
+
 class TestCorpora:
+    @pytest.mark.parametrize("k", sorted(CORPUS_DIGESTS))
+    def test_corpus_content_pinned(self, k):
+        kings_digest = _corpus_digest(kings_corpus(k, trials=40))
+        lemma_digest = _corpus_digest(lemma_corpus(k, trials=12))
+        assert (kings_digest, lemma_digest) == CORPUS_DIGESTS[k]
+
     def test_lemma_corpus_deterministic(self):
         assert lemma_corpus(3, trials=9, base_seed=5) == lemma_corpus(3, trials=9, base_seed=5)
         assert lemma_corpus(3, trials=9, base_seed=5) != lemma_corpus(3, trials=9, base_seed=6)

@@ -14,6 +14,7 @@ from qk.kings import (
     degree_threshold_vertices,
     find_kplus1_king_fast,
     has_unique_initial_component,
+    max_degree_vertex,
     out_eccentricity,
     semicomplete_two_king,
 )
@@ -112,6 +113,17 @@ class TestFastFinder:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             find_kplus1_king_fast(d4(), 1)
+
+    def test_degree_counted_inside_the_component(self):
+        # vertex 0 has the largest out-degree overall, but three of its four
+        # arcs leave the unique initial component {0, 1, 2}; inside it,
+        # vertex 1 leads.  No path has 4 arcs, so d is 4-quasi-transitive.
+        d = build(6, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 3), (0, 4), (0, 5)])
+        assert d.max_out_degree() == d.out_degree(0) == 4
+        assert has_unique_initial_component(d) == (True, (0, 1, 2))
+        assert max_degree_vertex(d, (0, 1, 2)) == 1
+        assert find_kplus1_king_fast(d, 4) == 1
+        assert census(d, 4, checked=True).fast_king == 1
 
     def test_threshold_vertices_chorded_path(self):
         # cutoff = max_degree - k = 2 - 2 = 0, so every vertex with an
