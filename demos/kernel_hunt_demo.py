@@ -16,7 +16,6 @@ from qk import (
     exhaustive_kernel_search,
     hunt_conjecture,
     random_qt,
-    verify_kernel,
 )
 
 k = int(sys.argv[1]) if len(sys.argv) > 1 else 3
@@ -24,8 +23,8 @@ k = int(sys.argv[1]) if len(sys.argv) > 1 else 3
 print(f"== the guaranteed construction (k={k}) ==")
 for seed in range(4):
     d = random_qt(GenConfig(n=9, k=k, arc_prob=0.18, seed=seed))
-    s = construct_kplus2_kernel(d, k)
-    cert = verify_kernel(d, s, k + 2, k + 1)
+    cert = construct_kplus2_kernel(d, k)
+    s = cert.candidate
     best = exhaustive_kernel_search(d, k + 2, k + 1)
     note = "minimum" if best is not None and len(best) == len(s) else f"optimum has {len(best)}"
     print(f"seed {seed}: n={d.n} m={d.arc_count}  constructed {s} "

@@ -153,8 +153,8 @@ def _cmd_kernel(args) -> int:
     d = read_digraph(args.file)
     digest = content_digest(d)
     if args.construct:
-        s = construct_kplus2_kernel(d, args.k)
-        cert = verify_kernel(d, s, args.k + 2, args.k + 1)
+        cert = construct_kplus2_kernel(d, args.k)
+        s = cert.candidate
         _emit(
             args,
             "kernel",

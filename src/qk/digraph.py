@@ -5,6 +5,12 @@ repeated arc in the same direction (opposite arcs forming a digon are fine)
 and keep every out-neighbor list sorted ascending, which makes equality,
 serialization and traversal order canonical.
 
+Distances come from one bit-parallel BFS over bitmask rows: row x is a
+Python int with bit y set for each arc x -> y, and a BFS level is the OR of
+its frontier's rows, so a dense row costs one big-int operation rather than
+one step per arc.  Each Digraph computes its rows once, on first use
+(`Digraph.masks`).
+
 Unreachable distances are the float sentinel INF (math.inf), never a large
 finite number: the structural results implemented elsewhere branch on
 reachability, so "cannot reach" must be unmistakable.
@@ -13,7 +19,6 @@ reachability, so "cannot reach" must be unmistakable.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import DuplicateArc, LoopArc, VertexOutOfRange
@@ -28,12 +33,20 @@ class Digraph:
     trusts its input.
     """
 
-    __slots__ = ("n", "adj", "_succ")
+    __slots__ = ("n", "adj", "_succ", "_masks")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
         self.n = n
         self.adj = adj
         self._succ = tuple(frozenset(row) for row in adj)
+        self._masks: tuple[int, ...] | None = None
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Bitmask rows: bit y of masks[x] is set iff x -> y is an arc."""
+        if self._masks is None:
+            self._masks = tuple(sum(1 << y for y in row) for row in self.adj)
+        return self._masks
 
     # -- queries ------------------------------------------------------------
 
@@ -114,22 +127,33 @@ def distances_from(d: Digraph, s: int) -> list[float]:
     """BFS hop counts from s; unreachable vertices get INF."""
     if not (0 <= s < d.n):
         raise VertexOutOfRange(s, d.n)
-    return bfs(d.adj, s)
+    return bfs(d.masks, 1 << s)
 
 
-def bfs(rows, s: int) -> list[float]:
-    """BFS hop counts from s over adjacency rows (row x holds the vertices
-    one hop from x); unreachable vertices get INF.  Trusts s to be in range."""
-    dist: list[float] = [INF] * len(rows)
-    dist[s] = 0
-    q = deque([s])
-    while q:
-        x = q.popleft()
-        nd = dist[x] + 1
-        for y in rows[x]:
-            if dist[y] is INF:
-                dist[y] = nd
-                q.append(y)
+def bfs(masks, start: int) -> list[float]:
+    """BFS hop counts from the vertex set start over bitmask rows.
+
+    Bit y of masks[x] is set when y is one hop from x; start is a bitmask
+    too, so a single vertex s is 1 << s and a larger set gives each vertex
+    its distance to the nearest member.  Each level ORs the rows of its
+    frontier and keeps the bits not seen before.  Unreachable vertices get
+    INF.  Trusts start to lie within range(len(masks)).
+    """
+    dist: list[float] = [INF] * len(masks)
+    seen = frontier = start
+    level = 0
+    while frontier:
+        reach = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            dist[x] = level
+            reach |= masks[x]
+            rest ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+        level += 1
     return dist
 
 

@@ -50,12 +50,14 @@ class KernelCertificate:
         return VERIFIED if self.verified else REFUTED
 
 
-def verify_kernel(d: Digraph, candidate, k: int, l: int) -> KernelCertificate:
+def verify_kernel(
+    d: Digraph, candidate, k: int, l: int, rev: Digraph | None = None
+) -> KernelCertificate:
     """BFS-check that candidate is a (k, l)-kernel of d.
 
     Scans independence over ordered member pairs in sorted order, then
     absorbency over outside vertices in id order, so the reported witness
-    is deterministic.
+    is deterministic.  rev is reverse(d) when the caller already holds it.
     """
     if k < 1 or l < 1:
         raise ValueError("kernel radii must be >= 1")
@@ -72,7 +74,8 @@ def verify_kernel(d: Digraph, candidate, k: int, l: int) -> KernelCertificate:
                 break
         if not independent:
             break
-    rev = reverse(d)
+    if rev is None:
+        rev = reverse(d)
     # d(z, v) for all z at once, per member v
     into = {v: distances_from(rev, v) for v in s}
     absorbent, abs_witness = True, None
@@ -93,31 +96,29 @@ def verify_kernel(d: Digraph, candidate, k: int, l: int) -> KernelCertificate:
     )
 
 
-def construct_kplus2_kernel(d: Digraph, k: int) -> tuple[int, ...]:
-    """A (k+2, k+1)-kernel of a k-quasi-transitive digraph.
+def construct_kplus2_kernel(d: Digraph, k: int) -> KernelCertificate:
+    """A verified (k+2, k+1)-kernel of a k-quasi-transitive digraph.
 
     Takes one maximum out-degree vertex (smallest id on ties, degree
     measured within the component) from each initial strong component of
-    the reversed digraph.  The result is verified before being returned;
-    failure means the input was not k-quasi-transitive and raises
-    NotQuasiTransitiveInput.
+    the reversed digraph, and returns the certificate of that set (the
+    kernel is its candidate).  Failed verification means the input was not
+    k-quasi-transitive and raises NotQuasiTransitiveInput.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if d.n == 0:
-        return ()
     rev = reverse(d)
     cond = strong_components(rev)
     s = tuple(
         sorted(max_degree_vertex(rev, cond.components[idx]) for idx in cond.initial)
     )
-    cert = verify_kernel(d, s, k + 2, k + 1)
+    cert = verify_kernel(d, s, k + 2, k + 1, rev=rev)
     if not cert.verified:
         raise NotQuasiTransitiveInput(
             f"candidate {s} failed {cert.status} with witness {cert.witness}; "
             f"input is not {k}-quasi-transitive"
         )
-    return s
+    return cert
 
 
 def exhaustive_kernel_search(

@@ -98,24 +98,29 @@ class GenConfig:
             raise ValueError(f"unknown orientation rule {self.orientation_rule!r}")
 
 
-def _arc_sets(d: Digraph) -> tuple[list[set[int]], list[set[int]]]:
-    """Successor and predecessor sets of d, for callers that add arcs."""
-    succ = [set(row) for row in d.adj]
-    pred: list[set[int]] = [set() for _ in range(d.n)]
+def _pred_masks(d: Digraph) -> list[int]:
+    """Predecessor bitmask rows of d: bit u of pred[v] is set iff u -> v."""
+    pred = [0] * d.n
     for u, row in enumerate(d.adj):
+        bit = 1 << u
         for v in row:
-            pred[v].add(u)
-    return succ, pred
+            pred[v] |= bit
+    return pred
+
+
+def _arc_sets(d: Digraph) -> tuple[list[set[int]], list[int]]:
+    """Successor sets and predecessor masks of d, for callers that add arcs."""
+    return [set(row) for row in d.adj], _pred_masks(d)
 
 
 def _k_path_exists(
-    succ: list[set[int]], pred: list[set[int]], u: int, v: int, k: int
+    succ: list[set[int]], pred: list[int], u: int, v: int, k: int
 ) -> bool:
     """Exact DFS for a k-arc vertex-distinct path u -> v over set adjacency;
-    pred must hold the same arcs as succ, reversed."""
+    pred must hold the same arcs as succ, reversed, as bitmask rows."""
     if u == v:
         return False
-    back = bfs(pred, v)
+    back = bfs(pred, 1 << v)
     if back[u] > k:
         return False
     visited = [False] * len(succ)
@@ -156,29 +161,44 @@ def has_k_path(d: Digraph, u: int, v: int, k: int) -> bool:
 def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
     """All witnesses against k-quasi-transitivity; empty list means yes.
 
-    Enumerates every length-k path by DFS in lexicographic path order and
-    reports each one whose endpoints have no arc in either direction.
+    Lists every length-k path whose endpoints have no arc in either
+    direction, in lexicographic path order.  The search starts from each
+    vertex s that has a non-neighbour: one backward BFS gives every vertex
+    its hop count to the set F of s's non-neighbours, and the DFS enters a
+    vertex only if F is still within reach in the arcs left.  Subtrees cut
+    this way hold no witness, so the list is that of the full enumeration.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     _require_enumerable(d.n)
+    n = d.n
+    succ = d.masks
+    pred = _pred_masks(d)
+    everyone = (1 << n) - 1
     violations: list[QtViolation] = []
     pathbuf = [0] * (k + 1)
-    visited = [False] * d.n
+    visited = [False] * n
 
     def extend(x: int, depth: int) -> None:
         if depth == k:
-            if not d.adjacent(pathbuf[0], x):
-                violations.append(QtViolation(tuple(pathbuf)))
+            # back[x] <= 0 was required to get here, so x is in F
+            violations.append(QtViolation(tuple(pathbuf)))
             return
+        rem = k - depth - 1
         for y in d.adj[x]:
-            if not visited[y]:
+            if not visited[y] and back[y] <= rem:
                 visited[y] = True
                 pathbuf[depth + 1] = y
                 extend(y, depth + 1)
                 visited[y] = False
 
-    for s in range(d.n):
+    for s in range(n):
+        far = everyone & ~(1 << s | succ[s] | pred[s])
+        if not far:
+            continue
+        back = bfs(pred, far)
+        if back[s] > k:
+            continue
         visited[s] = True
         pathbuf[0] = s
         extend(s, 0)
@@ -229,7 +249,7 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
             if rule == RANDOM and rng.random() >= 0.5:
                 a, b = b, a
             succ[a].add(b)
-            pred[b].add(a)
+            pred[b] |= 1 << a
             added = True
         if not added:
             return Digraph(d.n, tuple(tuple(sorted(row)) for row in succ))
@@ -281,8 +301,8 @@ def compose(q: Digraph, parts: list[Digraph]) -> tuple[Digraph, tuple[int, ...]]
 def certify_qt(d: Digraph, k: int) -> bool:
     """Cheap yes/no recognition via the pair scan (no violation list).
 
-    Equivalent to `not is_k_quasi_transitive(d, k)` but avoids enumerating
-    every length-k path on dense instances.
+    Equivalent to `not is_k_quasi_transitive(d, k)`, but stops at the first
+    non-adjacent pair that a k-arc path joins.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

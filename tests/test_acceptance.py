@@ -153,7 +153,7 @@ def test_6_kernel_construction(capsys, corpora):
     for k, corpus in corpus_by_k.items():
         for d in corpus:
             total += 1
-            s = construct_kplus2_kernel(d, k)
+            s = construct_kplus2_kernel(d, k).candidate
             passed += verify_kernel(d, s, k + 2, k + 1).verified
     ok = passed == total
     emit(capsys, 6, ok,

@@ -6,11 +6,14 @@ import sys
 
 import pytest
 
+import qk.cli
+import qk.kernels
 from qk.cli import main
 from qk.edgelist import content_digest, parse, write_digraph
+from qk.kernels import verify_kernel
 from qk.qt import certify_qt
 
-from instances import chorded_path, cycle, d4, path, two_cycles
+from instances import chorded_path, cycle, d4, long_tournament, path, two_cycles
 
 
 @pytest.fixture
@@ -57,6 +60,14 @@ class TestCheck:
         assert doc["input_digest"] == content_digest(d4())
         assert doc["result"]["quasi_transitive"] is False
         assert [v["path"] for v in doc["result"]["violations"]] == [[0, 1, 2], [0, 1, 3]]
+
+
+    def test_semicomplete_32_at_k6(self, capsys, tmp_path):
+        p = tmp_path / "lt32.edges"
+        write_digraph(str(p), long_tournament(32))
+        code, doc = run_json(capsys, "check", str(p), "--k", "6")
+        assert code == 0
+        assert doc["result"] == {"k": 6, "quasi_transitive": True, "violations": []}
 
 
 class TestKings:
@@ -146,6 +157,37 @@ class TestKernel:
         code, out = run(capsys, "kernel", str(p), "--k", "2", "--construct")
         assert code == 0
         assert "(4, 3)-kernel: {" in out and "[VERIFIED]" in out
+
+    def test_construct_verifies_once(self, capsys, tmp_path, monkeypatch):
+        calls = {"reverse": 0, "verify": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(qk.kernels, "reverse", counted("reverse", qk.kernels.reverse))
+        wrapped_verify = counted("verify", qk.kernels.verify_kernel)
+        monkeypatch.setattr(qk.kernels, "verify_kernel", wrapped_verify)
+        monkeypatch.setattr(qk.cli, "verify_kernel", wrapped_verify)
+        g = chorded_path(3)
+        p = tmp_path / "chorded.edges"
+        write_digraph(str(p), g)
+        code, doc = run_json(capsys, "kernel", str(p), "--k", "3", "--construct")
+        assert code == 0
+        assert calls == {"reverse": 1, "verify": 1}
+        kernel = tuple(doc["result"]["kernel"])
+        cert = verify_kernel(g, kernel, 5, 4)
+        assert doc["result"]["certificate"] == {
+            "candidate": list(cert.candidate),
+            "k": 5,
+            "l": 4,
+            "independent": True,
+            "absorbent": True,
+            "witness": None,
+        }
+        assert doc["result"]["status"] == cert.status == "VERIFIED"
 
     def test_construct_rejects_non_qt(self, capsys, tmp_path):
         p = tmp_path / "p5.edges"

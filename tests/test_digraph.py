@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
 import bruteforce
-from instances import complete, cycle, d4, path, two_cycles
+from instances import complete, cycle, d4, long_tournament, path, two_cycles
 from qk import (
     INF,
     DuplicateArc,
@@ -19,6 +21,7 @@ from qk import (
     reverse,
     strong_components,
 )
+from qk.digraph import bfs
 from strategies import digraphs
 
 
@@ -133,6 +136,42 @@ class TestDistances:
                 for w in range(g.n):
                     if dm[u][v] is not INF and dm[v][w] is not INF:
                         assert dm[u][w] <= dm[u][v] + dm[v][w]
+
+
+def _sparse_digraph(n: int, p: float, seed: int):
+    rng = random.Random(seed)
+    return build(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+
+
+class TestBitsetBfs:
+    """Rows wider than one machine word, checked against Floyd-Warshall."""
+
+    def test_long_tournament_130(self):
+        g = long_tournament(130)
+        dm = distance_matrix(g)
+        assert dm.dist == tuple(tuple(row) for row in bruteforce.floyd_distances(g))
+        assert dm[0][129] == 129
+
+    def test_sparse_100_with_unreachable_pairs(self):
+        g = _sparse_digraph(100, 0.015, seed=7)
+        dm = distance_matrix(g)
+        assert dm.dist == tuple(tuple(row) for row in bruteforce.floyd_distances(g))
+        assert any(INF in row for row in dm.dist)
+        assert any(1 < x < INF for row in dm.dist for x in row)
+
+    def test_masks_agree_with_adj(self):
+        for g in (d4(), long_tournament(130), _sparse_digraph(100, 0.015, seed=7), build(0, [])):
+            assert len(g.masks) == g.n
+            for x in range(g.n):
+                assert [y for y in range(g.n) if g.masks[x] >> y & 1] == list(g.adj[x])
+
+    def test_start_set_is_minimum_over_members(self):
+        g = _sparse_digraph(100, 0.03, seed=11)
+        rows = [distances_from(g, s) for s in range(g.n)]
+        for members in ((0,), (3, 70), (5, 64, 65, 99), tuple(range(0, 100, 9))):
+            start = sum(1 << s for s in members)
+            expected = [min(rows[s][v] for s in members) for v in range(g.n)]
+            assert bfs(g.masks, start) == expected
 
 
 class TestStrongComponents:

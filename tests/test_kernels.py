@@ -72,15 +72,16 @@ class TestVerifyKernel:
 
 class TestConstruct:
     def test_chorded_path(self):
-        assert construct_kplus2_kernel(chorded_path(2), 2) == (1,)
-        assert construct_kplus2_kernel(chorded_path(3), 3) == (1,)
+        assert construct_kplus2_kernel(chorded_path(2), 2).candidate == (1,)
+        assert construct_kplus2_kernel(chorded_path(3), 3).candidate == (1,)
 
     def test_one_pick_per_reversed_initial_component(self):
-        assert construct_kplus2_kernel(two_cycles(), 2) == (0, 2)
+        assert construct_kplus2_kernel(two_cycles(), 2).candidate == (0, 2)
 
     def test_four_vertex_instance(self):
-        s = construct_kplus2_kernel(d4(), 4)
-        assert verify_kernel(d4(), s, 6, 5).verified
+        cert = construct_kplus2_kernel(d4(), 4)
+        assert cert.verified and (cert.k, cert.l) == (6, 5)
+        assert verify_kernel(d4(), cert.candidate, 6, 5) == cert
 
     def test_rejects_non_quasi_transitive(self):
         with pytest.raises(NotQuasiTransitiveInput):
@@ -91,13 +92,13 @@ class TestConstruct:
             construct_kplus2_kernel(d4(), 1)
 
     def test_empty(self):
-        assert construct_kplus2_kernel(build(0, []), 2) == ()
+        assert construct_kplus2_kernel(build(0, []), 2).candidate == ()
 
     def test_generated_instances(self):
         for k in (2, 3, 4, 5):
             for seed in range(20):
                 d = random_qt(GenConfig(n=8, k=k, arc_prob=0.25, seed=seed))
-                s = construct_kplus2_kernel(d, k)
+                s = construct_kplus2_kernel(d, k).candidate
                 assert verify_kernel(d, s, k + 2, k + 1).verified
                 cond = strong_components(reverse(d))
                 assert len(s) == len(cond.initial)

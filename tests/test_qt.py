@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +110,65 @@ class TestRecognition:
         assert (is_k_quasi_transitive(g, k) == []) == (
             is_k_quasi_transitive(reverse(g), k) == []
         )
+
+
+def _near_semicomplete(n: int, deleted: int, seed: int):
+    """A semicomplete digraph (each pair gets one arc or a digon) with
+    `deleted` pairs left non-adjacent."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    gone = set(rng.sample(pairs, deleted))
+    arcs = []
+    for u, v in pairs:
+        if (u, v) in gone:
+            continue
+        side = rng.random()
+        if side < 0.8:
+            arcs.append((u, v) if side < 0.4 else (v, u))
+        else:
+            arcs += [(u, v), (v, u)]
+    return build(n, arcs)
+
+
+def _with_universal_vertices(n: int, universal: int, seed: int):
+    """A sparse digraph in which vertices 0..universal-1 are adjacent to
+    every other vertex, so those starts have no non-neighbour."""
+    rng = random.Random(seed)
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u < universal:
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+            elif rng.random() < 0.3:
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return build(n, arcs)
+
+
+class TestPrunedRecognition:
+    """Inputs where most starts, or most branches, hold no witness."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_near_semicomplete_matches_sequence_scan(self, k):
+        fired = 0
+        for seed in range(6):
+            g = _near_semicomplete(8 - seed % 2, deleted=1 + seed % 3, seed=seed)
+            got = [v.path for v in is_k_quasi_transitive(g, k)]
+            assert got == bruteforce.sequence_violations(g, k)
+            assert certify_qt(g, k) == (not got)
+            fired += bool(got)
+        assert fired
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_starts_without_non_neighbours_match_sequence_scan(self, k):
+        fired = 0
+        for seed in range(6):
+            g = _with_universal_vertices(8 - seed % 3, universal=1 + seed % 2, seed=seed)
+            assert all(g.adjacent(0, v) for v in range(1, g.n))
+            got = [v.path for v in is_k_quasi_transitive(g, k)]
+            assert got == bruteforce.sequence_violations(g, k)
+            assert certify_qt(g, k) == (not got)
+            fired += bool(got)
+        assert fired
 
 
 class TestClosure:
