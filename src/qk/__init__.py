@@ -29,13 +29,11 @@ from .digraph import (
 )
 from .edgelist import content_digest, emit, parse, read_digraph, write_digraph
 from .errors import (
-    ArityMismatch,
     DuplicateArc,
     EdgeListParseError,
     InstanceTooLarge,
     LoopArc,
     NotQuasiTransitiveInput,
-    NotSemicomplete,
     QkError,
     VertexOutOfRange,
 )
@@ -61,7 +59,6 @@ from .kings import (
     find_kplus1_king_fast,
     has_unique_initial_component,
     out_eccentricity,
-    semicomplete_two_king,
 )
 from .qt import (
     DEFAULT_ENUM_CAP,
@@ -70,7 +67,6 @@ from .qt import (
     GenConfig,
     QtViolation,
     certify_qt,
-    compose,
     enum_cap,
     is_k_quasi_transitive,
     mix_seed,

@@ -1,10 +1,13 @@
 """Structural checkers: re-verify the k-quasi-transitive theory on corpora.
 
 Every checker takes a digraph known (by construction) to be
-k-quasi-transitive and confirms one structural fact about it, reporting a
-Violation for each concrete failure instead of asserting.  A violation on
-generated input means either the generator or the checked fact is wrong,
-and both are worth knowing about.
+k-quasi-transitive and confirms one structural fact about it.  It returns
+(fired, findings): whether the fact's hypothesis occurred at all, and one
+(clause, witness, detail) triple per concrete failure instead of an
+assertion.  `run_checker` turns each finding into a Violation record,
+stamped with the check id, k and the instance's index in the corpus.  A
+violation on generated input means either the generator or the checked
+fact is wrong, and both are worth knowing about.
 
 A note on quantification: several facts range over every minimum-length
 u->v path.  A vertex x lies at position j of SOME minimum u->v path iff
@@ -17,12 +20,11 @@ enumeration.
 
 from __future__ import annotations
 
-import dataclasses
 import random as _random
 import time
 from dataclasses import dataclass
 
-from .digraph import Digraph, INF, build, distance_matrix, distances_from, reverse, strong_components
+from .digraph import Digraph, INF, build, distance_matrix, distances_from, strong_components
 from .errors import NotQuasiTransitiveInput
 from .kings import census, degree_threshold_vertices, find_kplus1_king_fast, has_unique_initial_component
 from .kernels import construct_kplus2_kernel
@@ -38,15 +40,7 @@ class Violation:
     k: int
     witness: tuple
     detail: str
-    instance: int = -1
-
-    def same_claim(self, other: "Violation") -> bool:
-        return (
-            self.check_id == other.check_id
-            and self.clause == other.clause
-            and self.k == other.k
-            and self.witness == other.witness
-        )
+    instance: int
 
 
 def _eccs(dm) -> list[float]:
@@ -59,18 +53,6 @@ def check_distance_dichotomy(d: Digraph, k: int):
     dm = distance_matrix(d)
     fired = False
     out = []
-
-    def bad(u, v, duv, dvu, need):
-        out.append(
-            Violation(
-                check_id="distance-dichotomy",
-                clause=need,
-                k=k,
-                witness=(u, v, duv, dvu),
-                detail=f"d({u},{v})={duv} but d({v},{u})={dvu}, needed {need}",
-            )
-        )
-
     for u in range(d.n):
         for v in range(d.n):
             duv = dm[u][v]
@@ -78,17 +60,14 @@ def check_distance_dichotomy(d: Digraph, k: int):
                 continue
             fired = True
             dvu = dm[v][u]
-            if duv == k:
-                if dvu != 1:
-                    bad(u, v, duv, dvu, "back=1")
-            elif duv == k + 1:
-                if dvu > k + 1:
-                    bad(u, v, duv, dvu, "back<=k+1")
-            elif k % 2 == 0 or duv % 2 == 1:
-                if dvu != 1:
-                    bad(u, v, duv, dvu, "back=1")
-            elif dvu > 2:
-                bad(u, v, duv, dvu, "back<=2")
+            if duv == k + 1:
+                need, ok = "back<=k+1", dvu <= k + 1
+            elif duv == k or k % 2 == 0 or duv % 2 == 1:
+                need, ok = "back=1", dvu == 1
+            else:
+                need, ok = "back<=2", dvu <= 2
+            if not ok:
+                out.append((need, (u, v, duv, dvu), f"d({u},{v})={duv} but d({v},{u})={dvu}, needed {need}"))
     return fired, out
 
 
@@ -109,18 +88,11 @@ def check_component_domination(d: Digraph, k: int):
             for u in cond.components[i]:
                 for v in cond.components[j]:
                     if dm[u][v] > k - 1:
-                        out.append(
-                            Violation(
-                                check_id="component-domination",
-                                clause="cross-distance",
-                                k=k,
-                                witness=(u, v, dm[u][v]),
-                                detail=(
-                                    f"component {i} reaches {j} but "
-                                    f"d({u},{v})={dm[u][v]} > {k - 1}"
-                                ),
-                            )
-                        )
+                        out.append((
+                            "cross-distance",
+                            (u, v, dm[u][v]),
+                            f"component {i} reaches {j} but d({u},{v})={dm[u][v]} > {k - 1}",
+                        ))
     return fired, out
 
 
@@ -132,18 +104,6 @@ def check_min_path_domination(d: Digraph, k: int):
     n = d.n
     fired = False
     out = []
-
-    def bad(clause, witness, detail):
-        out.append(
-            Violation(
-                check_id="min-path-domination",
-                clause=clause,
-                k=k,
-                witness=witness,
-                detail=detail,
-            )
-        )
-
     for u in range(n):
         row = dm[u]
         for v in range(n):
@@ -162,30 +122,28 @@ def check_min_path_domination(d: Digraph, k: int):
                 j = k - i
                 for x in range(n):
                     if row[x] == j and dm[x][v] == k + 2 - j and not d.has_arc(v, x):
-                        bad(
+                        out.append((
                             clause,
                             (u, v, x, i),
-                            f"{v} must dominate position {j} vertex {x} "
-                            f"of minimum {u}->{v} paths",
-                        )
+                            f"{v} must dominate position {j} vertex {x} of minimum {u}->{v} paths",
+                        ))
             # ball domination by the far endpoint
             if k % 2 == 0:
                 for w in range(n):
                     if row[w] <= k and not d.has_arc(v, w):
-                        bad(
+                        out.append((
                             "endpoint-dominates-ball",
                             (u, v, w, row[w]),
                             f"d({u},{w})={row[w]} <= {k} but no arc {v}->{w}",
-                        )
+                        ))
             else:
                 for w in range(n):
                     if row[w] <= k - 1 and row[w] % 2 == 0 and not d.has_arc(v, w):
-                        bad(
+                        out.append((
                             "endpoint-dominates-even-ball",
                             (u, v, w, row[w]),
-                            f"d({u},{w})={row[w]} even <= {k - 1} "
-                            f"but no arc {v}->{w}",
-                        )
+                            f"d({u},{w})={row[w]} even <= {k - 1} but no arc {v}->{w}",
+                        ))
             # the vertex before the endpoint dominates even offsets
             for y in range(n):
                 if row[y] != k + 1 or dm[y][v] != 1:
@@ -193,17 +151,12 @@ def check_min_path_domination(d: Digraph, k: int):
                 for i in range(2, k + 1, 2):
                     j = k - i
                     for x in range(n):
-                        if (
-                            row[x] == j
-                            and dm[x][y] == k + 1 - j
-                            and not d.has_arc(y, x)
-                        ):
-                            bad(
+                        if row[x] == j and dm[x][y] == k + 1 - j and not d.has_arc(y, x):
+                            out.append((
                                 "penultimate-backarc-even-offsets",
                                 (u, v, y, x, i),
-                                f"{y} (position {k + 1}) must dominate "
-                                f"position {j} vertex {x}",
-                            )
+                                f"{y} (position {k + 1}) must dominate position {j} vertex {x}",
+                            ))
     return fired, out
 
 
@@ -220,36 +173,21 @@ def check_degree_growth(d: Digraph, k: int):
             if dm[u][v] != k + 2:
                 continue
             fired = True
+            du = d.out_degree(u)
             if k % 2 == 0:
-                if d.out_degree(v) < d.out_degree(u) + step:
-                    out.append(
-                        Violation(
-                            check_id="degree-growth",
-                            clause="endpoint-degree",
-                            k=k,
-                            witness=(u, v, d.out_degree(u), d.out_degree(v)),
-                            detail=(
-                                f"deg+({v})={d.out_degree(v)} < "
-                                f"deg+({u})+{step}"
-                            ),
-                        )
-                    )
+                dv = d.out_degree(v)
+                if dv < du + step:
+                    out.append(("endpoint-degree", (u, v, du, dv), f"deg+({v})={dv} < deg+({u})+{step}"))
             else:
                 for x in range(n):
                     if dm[u][x] == k + 1 and dm[x][v] == 1:
-                        if d.out_degree(x) < d.out_degree(u) + step:
-                            out.append(
-                                Violation(
-                                    check_id="degree-growth",
-                                    clause="penultimate-degree",
-                                    k=k,
-                                    witness=(u, v, x, d.out_degree(u), d.out_degree(x)),
-                                    detail=(
-                                        f"deg+({x})={d.out_degree(x)} < "
-                                        f"deg+({u})+{step}"
-                                    ),
-                                )
-                            )
+                        dx = d.out_degree(x)
+                        if dx < du + step:
+                            out.append((
+                                "penultimate-degree",
+                                (u, v, x, du, dx),
+                                f"deg+({x})={dx} < deg+({u})+{step}",
+                            ))
     return fired, out
 
 
@@ -267,17 +205,6 @@ def check_king_theorems(d: Digraph, k: int):
     fired = False
     out = []
 
-    def bad(clause, witness, detail):
-        out.append(
-            Violation(
-                check_id="king-theorems",
-                clause=clause,
-                k=k,
-                witness=witness,
-                detail=detail,
-            )
-        )
-
     small = 3 if k % 2 == 0 else 4
     for v in range(n):
         if ecc[v] > k + 2:
@@ -287,19 +214,18 @@ def check_king_theorems(d: Digraph, k: int):
                 continue
             fired = True
             if ecc[u] > small:
-                bad(
+                out.append((
                     "distant-target-small-king",
                     (v, u, ecc[u]),
                     f"d({v},{u})=k+2 but ecc({u})={ecc[u]} > {small}",
-                )
+                ))
             for w in range(n):
                 if dm[u][w] == small and dm[v][w] != k + 2:
-                    bad(
+                    out.append((
                         "distant-target-closure",
                         (v, u, w, dm[v][w]),
-                        f"d({u},{w})={small} forces d({v},{w})=k+2, "
-                        f"got {dm[v][w]}",
-                    )
+                        f"d({u},{w})={small} forces d({v},{w})=k+2, got {dm[v][w]}",
+                    ))
 
     if k % 2 == 0 and k >= 4:
         for v in range(n):
@@ -308,21 +234,18 @@ def check_king_theorems(d: Digraph, k: int):
             fired = True
             distant = [w for w in range(n) if dm[v][w] == k + 2]
             if not any(ecc[w] <= 2 for w in distant):
-                bad(
-                    "demoted-king-two-king",
-                    (v,),
-                    f"no 2-king at distance k+2 from demoted king {v}",
-                )
+                out.append((
+                    "demoted-king-two-king", (v,), f"no 2-king at distance k+2 from demoted king {v}"
+                ))
             for a in range(len(distant)):
                 for b in range(a + 1, len(distant)):
                     x, y = distant[a], distant[b]
                     if not d.adjacent(x, y):
-                        bad(
+                        out.append((
                             "distant-class-semicomplete",
                             (v, x, y),
-                            f"distance-(k+2) class of {v} misses arc "
-                            f"between {x} and {y}",
-                        )
+                            f"distance-(k+2) class of {v} misses arc between {x} and {y}",
+                        ))
 
     unique, comp = has_unique_initial_component(d)
     if unique:
@@ -343,35 +266,34 @@ def check_king_theorems(d: Digraph, k: int):
                     ok = True
                     break
             if not ok:
-                bad(
+                out.append((
                     "king-triple",
                     tuple(comp),
                     "no (k+2)-king in the initial component with a "
                     "dominated (k+1)-king and a small king at distance k+2",
-                )
+                ))
         if k % 2 == 0 and k >= 4:
             if not all_c:
                 fired = True
                 two = sum(1 for x in range(n) if ecc[x] <= 2)
                 three = sum(1 for x in range(n) if ecc[x] <= 3)
                 if not (two >= 1 and three >= 2):
-                    bad(
+                    out.append((
                         "final-disjunction",
                         (two, three),
-                        f"not all of C are (k+1)-kings yet only {two} "
-                        f"2-kings / {three} 3-kings",
-                    )
+                        f"not all of C are (k+1)-kings yet only {two} 2-kings / {three} 3-kings",
+                    ))
         if k % 2 == 1:
             if not all_c:
                 fired = True
                 three_in_c = any(ecc[x] <= 3 for x in comp)
                 four = sum(1 for x in range(n) if ecc[x] <= 4)
                 if not (three_in_c or four >= 4):
-                    bad(
+                    out.append((
                         "final-disjunction",
                         (three_in_c, four),
                         f"no 3-king in C and only {four} 4-kings",
-                    )
+                    ))
 
     for u in range(n):
         if ecc[u] > k + 1:
@@ -380,23 +302,22 @@ def check_king_theorems(d: Digraph, k: int):
             if dm[u][v] == k + 1:
                 fired = True
                 if ecc[v] > k + 1:
-                    bad(
+                    out.append((
                         "king-propagation",
                         (u, v, ecc[v]),
-                        f"{u} is a (k+1)-king with d({u},{v})=k+1 but "
-                        f"ecc({v})={ecc[v]}",
-                    )
+                        f"{u} is a (k+1)-king with d({u},{v})=k+1 but ecc({v})={ecc[v]}",
+                    ))
 
     if k == 2 and n > 0 and any(e <= 3 for e in ecc):
         fired = True
         dmax = d.max_out_degree()
         for v in range(n):
             if d.out_degree(v) == dmax and ecc[v] > 3:
-                bad(
+                out.append((
                     "max-degree-three-king",
                     (v, dmax, ecc[v]),
                     f"max out-degree vertex {v} has ecc {ecc[v]} > 3",
-                )
+                ))
     return fired, out
 
 
@@ -407,15 +328,11 @@ def check_unique_initial_equivalence(d: Digraph, k: int):
     unique, _ = has_unique_initial_component(d)
     out = []
     if bool(kings) != unique:
-        out.append(
-            Violation(
-                check_id="unique-initial-equivalence",
-                clause="existence-iff-unique-initial",
-                k=k,
-                witness=(tuple(kings), unique),
-                detail=f"(k+1)-kings {kings} vs unique_initial={unique}",
-            )
-        )
+        out.append((
+            "existence-iff-unique-initial",
+            (tuple(kings), unique),
+            f"(k+1)-kings {kings} vs unique_initial={unique}",
+        ))
     return d.n > 0, out
 
 
@@ -427,51 +344,26 @@ def check_degree_threshold_kings(d: Digraph, k: int):
     if not unique:
         king = find_kplus1_king_fast(d, k)
         if king is not None:
-            out.append(
-                Violation(
-                    check_id="degree-threshold-kings",
-                    clause="finder-none-without-unique-initial",
-                    k=k,
-                    witness=(king,),
-                    detail=f"finder returned {king} despite multiple initial components",
-                )
-            )
+            out.append((
+                "finder-none-without-unique-initial",
+                (king,),
+                f"finder returned {king} despite multiple initial components",
+            ))
         return False, out
     dm = distance_matrix(d)
     for v in degree_threshold_vertices(d, k):
-        if max(dm[v]) > k + 1:
-            out.append(
-                Violation(
-                    check_id="degree-threshold-kings",
-                    clause="threshold-vertex-is-king",
-                    k=k,
-                    witness=(v, max(dm[v])),
-                    detail=f"threshold vertex {v} has ecc {max(dm[v])} > {k + 1}",
-                )
-            )
+        ecc = max(dm[v])
+        if ecc > k + 1:
+            out.append((
+                "threshold-vertex-is-king", (v, ecc), f"threshold vertex {v} has ecc {ecc} > {k + 1}"
+            ))
     try:
         king = find_kplus1_king_fast(d, k)
     except NotQuasiTransitiveInput as exc:
-        out.append(
-            Violation(
-                check_id="degree-threshold-kings",
-                clause="finder-rejected-input",
-                k=k,
-                witness=(),
-                detail=str(exc),
-            )
-        )
+        out.append(("finder-rejected-input", (), str(exc)))
         return True, out
     if king is None or max(dm[king]) > k + 1:
-        out.append(
-            Violation(
-                check_id="degree-threshold-kings",
-                clause="finder-returns-king",
-                k=k,
-                witness=(king,),
-                detail=f"finder returned {king}",
-            )
-        )
+        out.append(("finder-returns-king", (king,), f"finder returned {king}"))
     return True, out
 
 
@@ -479,13 +371,7 @@ def check_census_audits(d: Digraph, k: int):
     """All applicable counting-audit rows of the census pass."""
     rep = census(d, k)
     out = [
-        Violation(
-            check_id="census-audits",
-            clause=row.tag,
-            k=k,
-            witness=(row.observed,),
-            detail=f"{row.tag}: expected {row.expected}, observed {row.observed}",
-        )
+        (row.tag, (row.observed,), f"{row.tag}: expected {row.expected}, observed {row.observed}")
         for row in rep.failed_audits
     ]
     return bool(rep.counting_audit), out
@@ -493,43 +379,24 @@ def check_census_audits(d: Digraph, k: int):
 
 def check_kernel_construction(d: Digraph, k: int):
     """construct_kplus2_kernel yields a verified (k+2, k+1)-kernel with one
-    member per initial component of the reversed digraph."""
-    out = []
+    member per terminal strong component of d (the initial components of
+    the reversed digraph)."""
     try:
         cert = construct_kplus2_kernel(d, k)
     except NotQuasiTransitiveInput as exc:
-        out.append(
-            Violation(
-                check_id="kernel-construction",
-                clause="construction-rejected",
-                k=k,
-                witness=(),
-                detail=str(exc),
-            )
-        )
-        return True, out
+        return True, [("construction-rejected", (), str(exc))]
+    out = []
     s = cert.candidate
     if not cert.verified:
-        out.append(
-            Violation(
-                check_id="kernel-construction",
-                clause="certificate",
-                k=k,
-                witness=(s, cert.witness),
-                detail=f"{s} failed verification with witness {cert.witness}",
-            )
-        )
-    expected = len(strong_components(reverse(d)).initial)
+        out.append((
+            "certificate", (s, cert.witness), f"{s} failed verification with witness {cert.witness}"
+        ))
+    # reverse(d) has the same strong components, so its initial ones are d's terminal ones
+    expected = len(strong_components(d).terminal)
     if len(s) != expected:
-        out.append(
-            Violation(
-                check_id="kernel-construction",
-                clause="one-per-component",
-                k=k,
-                witness=(s, expected),
-                detail=f"kernel {s} has {len(s)} members, expected {expected}",
-            )
-        )
+        out.append((
+            "one-per-component", (s, expected), f"kernel {s} has {len(s)} members, expected {expected}"
+        ))
     return d.n > 0, out
 
 
@@ -563,8 +430,9 @@ CHECKERS = {
 
 def revalidate(d: Digraph, violation: Violation) -> bool:
     """Re-run the reporting checker on d and confirm the same claim fails."""
-    fired, found = CHECKERS[violation.check_id](d, violation.k)
-    return any(violation.same_claim(v) for v in found)
+    _, found = CHECKERS[violation.check_id](d, violation.k)
+    claim = (violation.clause, violation.witness)
+    return any((clause, witness) == claim for clause, witness, _ in found)
 
 
 def kings_corpus(
@@ -708,7 +576,7 @@ def run_checker(check_id: str, k: int, corpus: list[Digraph]) -> CheckResult:
     for idx, d in enumerate(corpus):
         f, found = fn(d, k)
         fired += bool(f)
-        vs.extend(dataclasses.replace(v, instance=idx) for v in found)
+        vs.extend(Violation(check_id, clause, k, witness, detail, idx) for clause, witness, detail in found)
     return CheckResult(
         check_id=check_id,
         k=k,

@@ -9,7 +9,8 @@ Distances come from one bit-parallel BFS over bitmask rows: row x is a
 Python int with bit y set for each arc x -> y, and a BFS level is the OR of
 its frontier's rows, so a dense row costs one big-int operation rather than
 one step per arc.  Each Digraph computes its rows once, on first use
-(`Digraph.masks`).
+(`Digraph.masks`); they are also its arc index for `has_arc` and
+`adjacent`.
 
 Unreachable distances are the float sentinel INF (math.inf), never a large
 finite number: the structural results implemented elsewhere branch on
@@ -33,12 +34,11 @@ class Digraph:
     trusts its input.
     """
 
-    __slots__ = ("n", "adj", "_succ", "_masks")
+    __slots__ = ("n", "adj", "_masks")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
         self.n = n
         self.adj = adj
-        self._succ = tuple(frozenset(row) for row in adj)
         self._masks: tuple[int, ...] | None = None
 
     @property
@@ -57,11 +57,12 @@ class Digraph:
         return len(self.adj[v])
 
     def has_arc(self, u: int, v: int) -> bool:
-        return v in self._succ[u]
+        return (self.masks[u] >> v) & 1 == 1
 
     def adjacent(self, u: int, v: int) -> bool:
         """True if there is an arc between u and v in either direction."""
-        return v in self._succ[u] or u in self._succ[v]
+        masks = self.masks
+        return (masks[u] >> v | masks[v] >> u) & 1 == 1
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs as ordered pairs, sorted lexicographically."""

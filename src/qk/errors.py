@@ -47,24 +47,6 @@ class NotQuasiTransitiveInput(QkError):
     that the precondition was violated."""
 
 
-class NotSemicomplete(QkError):
-    """Input digraph has a pair of vertices with no arc in either direction."""
-
-    def __init__(self, u: int, v: int) -> None:
-        super().__init__(f"not semicomplete: no arc between {u} and {v}")
-        self.u = u
-        self.v = v
-
-
-class ArityMismatch(QkError):
-    """Composition received a part list whose length differs from |V(Q)|."""
-
-    def __init__(self, expected: int, got: int) -> None:
-        super().__init__(f"composition needs {expected} parts, got {got}")
-        self.expected = expected
-        self.got = got
-
-
 class EdgeListParseError(QkError):
     """An edge-list file failed to parse; carries the 1-based line number."""
 

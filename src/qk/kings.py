@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .digraph import INF, Digraph, distances_from, strong_components
-from .errors import NotQuasiTransitiveInput, NotSemicomplete, VertexOutOfRange
+from .errors import NotQuasiTransitiveInput, VertexOutOfRange
 
 
 def out_eccentricity(d: Digraph, v: int) -> float:
@@ -101,24 +101,6 @@ def find_kplus1_king_fast(d: Digraph, k: int) -> int | None:
             f"vertex {king} has out-eccentricity > {k + 1}; "
             f"input is not {k}-quasi-transitive"
         )
-    return king
-
-
-def semicomplete_two_king(d: Digraph) -> int:
-    """A 2-king of a semicomplete digraph: any maximum out-degree vertex.
-
-    Raises NotSemicomplete when some pair has no arc either way.  The answer
-    is BFS-verified (it cannot fail on genuinely semicomplete input).
-    """
-    if d.n == 0:
-        raise ValueError("empty digraph has no king")
-    for u in range(d.n):
-        for v in range(u + 1, d.n):
-            if not d.adjacent(u, v):
-                raise NotSemicomplete(u, v)
-    king = max_degree_vertex(d, range(d.n))
-    ecc = max(distances_from(d, king))
-    assert ecc <= 2, f"max out-degree vertex {king} has eccentricity {ecc}"
     return king
 
 

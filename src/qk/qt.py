@@ -1,4 +1,4 @@
-"""Recognition of k-quasi-transitivity, arc-closure generation, composition.
+"""Recognition of k-quasi-transitivity and arc-closure generation.
 
 A digraph is k-quasi-transitive when every directed path of exactly k arcs
 (k+1 pairwise-distinct vertices) from u to v forces an arc between u and v in
@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .digraph import Digraph, bfs, build
-from .errors import ArityMismatch, InstanceTooLarge, VertexOutOfRange
+from .errors import InstanceTooLarge
 
 RANDOM = "RANDOM"
 FORWARD = "FORWARD"
@@ -143,21 +143,6 @@ def _k_path_exists(
     return walk(u, k)
 
 
-def has_k_path(d: Digraph, u: int, v: int, k: int) -> bool:
-    """True iff a directed path with exactly k arcs runs from u to v.
-
-    Exhaustive and exact (depth-bounded DFS with a visited set); distances
-    to the target prune branches that cannot finish in time.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    for x in (u, v):
-        if not (0 <= x < d.n):
-            raise VertexOutOfRange(x, d.n)
-    _require_enumerable(d.n)
-    return _k_path_exists(*_arc_sets(d), u, v, k)
-
-
 def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
     """All witnesses against k-quasi-transitivity; empty list means yes.
 
@@ -267,35 +252,6 @@ def random_qt(cfg: GenConfig) -> Digraph:
     ]
     base = build(cfg.n, arcs)
     return qt_closure(base, cfg.k, cfg.orientation_rule, seed=rng.getrandbits(64))
-
-
-def compose(q: Digraph, parts: list[Digraph]) -> tuple[Digraph, tuple[int, ...]]:
-    """Blow-up composition: replace vertex i of q by parts[i].
-
-    The result has the disjoint union of the parts as vertices, all part
-    arcs, and every arc from block i to block j when (i, j) is an arc of q.
-    Returns (digraph, block_of) with block_of mapping new vertex id -> block.
-    """
-    if len(parts) != q.n:
-        raise ArityMismatch(q.n, len(parts))
-    offsets: list[int] = []
-    total = 0
-    for h in parts:
-        offsets.append(total)
-        total += h.n
-    arcs: list[tuple[int, int]] = []
-    block_of: list[int] = []
-    for i, h in enumerate(parts):
-        block_of.extend([i] * h.n)
-        off = offsets[i]
-        arcs.extend((off + a, off + b) for a, b in h.arcs())
-    for i, j in q.arcs():
-        arcs.extend(
-            (offsets[i] + a, offsets[j] + b)
-            for a in range(parts[i].n)
-            for b in range(parts[j].n)
-        )
-    return build(total, arcs), tuple(block_of)
 
 
 def certify_qt(d: Digraph, k: int) -> bool:

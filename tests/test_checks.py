@@ -9,6 +9,7 @@ are hand-derived from the distance matrices.
 """
 
 import hashlib
+import json
 import math
 
 import pytest
@@ -21,7 +22,6 @@ from qk.checks import (
     CHECKERS,
     KING_CHECKS,
     LEMMA_CHECKS,
-    Violation,
     kings_corpus,
     lemma_corpus,
     revalidate,
@@ -29,28 +29,17 @@ from qk.checks import (
     run_suite,
     summarize,
 )
+from qk.cli import _jsonable
 from qk.edgelist import emit
 from qk.qt import GenConfig, certify_qt, random_qt
 
 
-def clauses(violations):
-    return sorted({v.clause for v in violations})
+def clauses(findings):
+    return sorted({clause for clause, _, _ in findings})
 
 
-def pairs(violations):
-    return [(v.clause, v.witness) for v in violations]
-
-
-class TestViolationRecord:
-    def test_same_claim_ignores_instance_and_detail(self):
-        a = Violation("distance-dichotomy", "back=1", 2, (0, 2, 2, INF), "x", instance=3)
-        b = Violation("distance-dichotomy", "back=1", 2, (0, 2, 2, INF), "y", instance=9)
-        assert a.same_claim(b) and b.same_claim(a)
-
-    def test_same_claim_distinguishes_witness(self):
-        a = Violation("distance-dichotomy", "back=1", 2, (0, 2, 2, INF), "")
-        b = Violation("distance-dichotomy", "back=1", 2, (1, 3, 2, INF), "")
-        assert not a.same_claim(b)
+def pairs(findings):
+    return [(clause, witness) for clause, witness, _ in findings]
 
 
 class TestDistanceDichotomy:
@@ -92,7 +81,7 @@ class TestComponentDomination:
         fired, vs = CHECKERS["component-domination"](path(5), 2)
         assert fired
         assert clauses(vs) == ["cross-distance"]
-        assert [v.witness for v in vs] == [
+        assert [witness for _, witness, _ in vs] == [
             (0, 2, 2),
             (0, 3, 3),
             (0, 4, 4),
@@ -249,21 +238,49 @@ class TestKingSideCheckers:
             assert vs == []
 
 
+# (check_id, k, reporting instance, an instance where the claim holds)
+REVALIDATE_CASES = [
+    ("distance-dichotomy", 2, path(5), chorded_path(2)),
+    ("component-domination", 2, path(5), chorded_path(2)),
+    ("min-path-domination", 2, path(5), long_tournament(5)),
+    ("degree-growth", 2, path(5), long_tournament(5)),
+    ("king-theorems", 2, build(5, [(0, 1), (1, 2), (2, 3), (0, 4)]), complete(5)),
+    ("unique-initial-equivalence", 2, path(6), two_cycles()),
+    ("degree-threshold-kings", 2, path(6), chorded_path(2)),
+    ("census-audits", 2, path(6), chorded_path(2)),
+    ("kernel-construction", 2, path(6), chorded_path(2)),
+]
+
+
 class TestRevalidate:
     def test_round_trip_on_reporting_instance(self):
-        _, vs = CHECKERS["distance-dichotomy"](path(5), 2)
+        vs = run_checker("distance-dichotomy", 2, [path(5)]).violations
         assert vs
         assert all(revalidate(path(5), v) for v in vs)
 
     def test_rejects_on_fixed_instance(self):
-        _, vs = CHECKERS["distance-dichotomy"](path(5), 2)
+        vs = run_checker("distance-dichotomy", 2, [path(5)]).violations
         assert not any(revalidate(chorded_path(2), v) for v in vs)
 
     def test_king_clause_round_trip(self):
         d = build(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
-        _, vs = CHECKERS["king-theorems"](d, 2)
+        vs = run_checker("king-theorems", 2, [d]).violations
         assert revalidate(d, vs[0])
         assert not revalidate(complete(5), vs[0])
+
+    @pytest.mark.parametrize(
+        "check_id, k, bad, good", REVALIDATE_CASES, ids=[case[0] for case in REVALIDATE_CASES]
+    )
+    def test_round_trip_every_checker(self, check_id, k, bad, good):
+        result = run_checker(check_id, k, [good, bad])
+        assert result.violations
+        for v in result.violations:
+            assert (v.check_id, v.k, v.instance) == (check_id, k, 1)
+            assert revalidate(bad, v)
+            assert not revalidate(good, v)
+
+    def test_covers_every_checker(self):
+        assert sorted(case[0] for case in REVALIDATE_CASES) == sorted(CHECKERS)
 
 
 class TestRunChecker:
@@ -283,6 +300,45 @@ class TestRunChecker:
         assert result.fired == 0
         assert result.fire_fraction == 0.0
         assert result.passed
+
+
+# SHA-256 over json.dumps(cli._jsonable(run_checker(...)), sort_keys=True) of
+# each checker on RECORD_CORPORA (k -> corpus, in this order), with the
+# number of violation records.  Recorded before the checkers stopped
+# building their own Violation records, so the JSON form of every record
+# (clause, witness, detail, instance) stays pinned.
+RECORD_CORPORA = {
+    2: lambda: [path(5), path(6), build(5, [(0, 1), (1, 2), (2, 3), (0, 4)])],
+    3: lambda: [path(7)],
+    4: lambda: [path(7)],
+}
+RECORD_DIGESTS = {
+    "distance-dichotomy": ("1b022b82e269fe349ae3eb87a38afd25c9027f89636fe0184f51de9e2095b618", 35),
+    "component-domination": ("4c389fb475100df93e4dbb8ff05e0cea1ef96c72f6f5d5264bbd8ed5bec8e73e", 35),
+    "min-path-domination": ("ec3b6e7c427b64840a6cc7df01bdbad71d2110e6bba9b462dae3685f1f3b3ed5", 43),
+    "degree-growth": ("56fb271e5cb6c0cd8c3157b8faec52b97132f0b29432968b2ee5105e32860707", 6),
+    "king-theorems": ("29de4948e43f7dd7748da0aa2d89bac4bf9261ca1b9372fa0d28d1ebefbca182", 8),
+    "unique-initial-equivalence": ("4bde55e6b218995fee075434ae8a3fe113d812e269595b28a173aeaf55ad2320", 4),
+    "degree-threshold-kings": ("30166fa621df706a035fe54d7114302dffb9af1bf54cb35440e9a1acd816d47f", 8),
+    "census-audits": ("5ec4f53dff35ca2c5f0be128b6eaf65ea96e7765dfb2f6592371226130729b26", 14),
+    "kernel-construction": ("2d1ade4a81b0e865385851122bf639dd251274a59d91452e82c791b28e5888f7", 4),
+}
+
+
+class TestViolationRecords:
+    @pytest.mark.parametrize("check_id", list(CHECKERS))
+    def test_record_json_pinned(self, check_id):
+        h = hashlib.sha256()
+        count = 0
+        for k, corpus in RECORD_CORPORA.items():
+            doc = _jsonable(run_checker(check_id, k, corpus()))
+            count += len(doc["violations"])
+            h.update(json.dumps(doc, sort_keys=True).encode("ascii"))
+        assert (h.hexdigest(), count) == RECORD_DIGESTS[check_id]
+
+    def test_digests_cover_every_checker(self):
+        assert sorted(RECORD_DIGESTS) == sorted(CHECKERS)
+        assert all(count > 0 for _, count in RECORD_DIGESTS.values())
 
 
 # SHA-256 over the canonical edge lists of kings_corpus(k, trials=40), then

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import bruteforce
 from instances import chorded_path, complete, cycle, d4, long_tournament, path, two_cycles
 from qk import INF, Digraph, build
-from qk.errors import NotQuasiTransitiveInput, NotSemicomplete, VertexOutOfRange
+from qk.errors import NotQuasiTransitiveInput, VertexOutOfRange
 from qk.kings import (
     all_eccentricities,
     all_r_kings,
@@ -16,9 +16,8 @@ from qk.kings import (
     has_unique_initial_component,
     max_degree_vertex,
     out_eccentricity,
-    semicomplete_two_king,
 )
-from qk.qt import GenConfig, compose, random_qt
+from qk.qt import GenConfig, random_qt
 from strategies import digraphs
 
 
@@ -141,44 +140,6 @@ class TestFastFinder:
                     assert out_eccentricity(d, v) <= k + 1
 
 
-class TestSemicompleteTwoKing:
-    def test_dominant_source(self):
-        t = build(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        assert semicomplete_two_king(t) == 0
-
-    def test_three_cycle(self):
-        assert semicomplete_two_king(cycle(3)) == 0
-
-    def test_digon(self):
-        assert semicomplete_two_king(build(2, [(0, 1), (1, 0)])) == 0
-
-    def test_long_tournament(self):
-        assert semicomplete_two_king(long_tournament(7)) == 5
-
-    def test_rejects_missing_pair(self):
-        with pytest.raises(NotSemicomplete) as exc:
-            semicomplete_two_king(path(3))
-        assert (exc.value.u, exc.value.v) == (0, 2)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            semicomplete_two_king(build(0, []))
-
-    def test_random_tournaments(self):
-        import random
-
-        rng = random.Random(99)
-        for _ in range(40):
-            n = rng.randint(1, 8)
-            arcs = []
-            for u in range(n):
-                for v in range(u + 1, n):
-                    arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-            t = build(n, arcs)
-            king = semicomplete_two_king(t)
-            assert out_eccentricity(t, king) <= 2
-
-
 class TestCensus:
     def test_four_vertex_instance(self):
         rep = census(d4(), 4)
@@ -200,12 +161,15 @@ class TestCensus:
             assert not rep.failed_audits
 
     def test_no_two_king_blowup(self):
-        # replace every 2-king of a strong 5-tournament by two non-adjacent
-        # vertices: the result is quasi-transitive, has no 2-king, and gets
-        # exactly seven 3-kings
-        q = long_tournament(5)
-        double = build(2, [])
-        d, _ = compose(q, [build(1, []), build(1, []), double, double, double])
+        # replace every 2-king of the strong 5-tournament long_tournament(5)
+        # (vertices 2, 3, 4) by two non-adjacent vertices (2-3, 4-5, 6-7):
+        # the result is quasi-transitive, has no 2-king, and gets exactly
+        # seven 3-kings
+        d = build(8, [
+            (0, 1), (1, 2), (1, 3), (2, 0), (2, 4), (2, 5), (3, 0), (3, 4), (3, 5),
+            (4, 0), (4, 1), (4, 6), (4, 7), (5, 0), (5, 1), (5, 6), (5, 7),
+            (6, 0), (6, 1), (6, 2), (6, 3), (7, 0), (7, 1), (7, 2), (7, 3),
+        ])
         rep = census(d, 2)
         assert rep.kings_by_radius[2] == ()
         assert rep.kings_by_radius[3] == (1, 2, 3, 4, 5, 6, 7)

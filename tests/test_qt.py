@@ -1,4 +1,4 @@
-"""Recognition, closure generation and composition."""
+"""Recognition, k-path search and closure generation."""
 
 from __future__ import annotations
 
@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 import bruteforce
 from instances import chorded_path, complete, cycle, d4, long_tournament, path
 from qk import InstanceTooLarge, build, reverse
+from qk import qt
 from qk.qt import (
     FORWARD,
     RANDOM,
     GenConfig,
     certify_qt,
-    compose,
-    has_k_path,
     is_k_quasi_transitive,
     qt_closure,
     random_qt,
 )
-from qk.errors import ArityMismatch
+
+
+def has_k_path(g, u, v, k):
+    return qt._k_path_exists(*qt._arc_sets(g), u, v, k)
 
 
 class TestHasKPath:
@@ -39,11 +41,6 @@ class TestHasKPath:
 
     def test_too_long_for_vertex_count(self):
         assert not has_k_path(d4(), 0, 3, 4)
-
-    def test_cap(self, monkeypatch):
-        monkeypatch.setenv("QK_ENUM_CAP", "3")
-        with pytest.raises(InstanceTooLarge):
-            has_k_path(d4(), 0, 3, 2)
 
     @given(st.data())
     def test_matches_sequence_scan(self, data):
@@ -234,38 +231,3 @@ class TestRandomQt:
             GenConfig(n=4, k=2, arc_prob=1.5, seed=0)
         with pytest.raises(ValueError):
             GenConfig(n=4, k=2, arc_prob=0.5, seed=0, orientation_rule="SIDEWAYS")
-
-
-class TestCompose:
-    def test_single_vertex_identity(self):
-        h = d4()
-        g, blocks = compose(build(1, []), [h])
-        assert g == h
-        assert blocks == (0, 0, 0, 0)
-
-    def test_digon_of_singletons(self):
-        one = build(1, [])
-        g, _ = compose(build(2, [(0, 1), (1, 0)]), [one, one])
-        assert sorted(g.arcs()) == [(0, 1), (1, 0)]
-
-    def test_arc_blowup(self):
-        g, blocks = compose(build(2, [(0, 1)]), [build(2, []), build(1, [])])
-        assert sorted(g.arcs()) == [(0, 2), (1, 2)]
-        assert blocks == (0, 0, 1)
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
-            compose(build(2, [(0, 1)]), [build(1, [])])
-
-    @given(st.data())
-    @settings(max_examples=30)
-    def test_counts(self, data):
-        from strategies import digraphs
-
-        q = data.draw(digraphs(max_n=4))
-        parts = [data.draw(digraphs(max_n=3)) for _ in range(q.n)]
-        g, blocks = compose(q, parts)
-        assert g.n == sum(h.n for h in parts)
-        cross = sum(parts[i].n * parts[j].n for i, j in q.arcs())
-        assert g.arc_count == sum(h.arc_count for h in parts) + cross
-        assert len(blocks) == g.n
