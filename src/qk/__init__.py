@@ -19,7 +19,6 @@ from .digraph import (
     INF,
     Condensation,
     Digraph,
-    DistanceMatrix,
     build,
     distance_matrix,
     distances_from,
@@ -52,13 +51,10 @@ from .kernels import (
 from .kings import (
     AuditRow,
     KingReport,
-    all_eccentricities,
     all_r_kings,
     census,
     degree_threshold_vertices,
     find_kplus1_king_fast,
-    has_unique_initial_component,
-    out_eccentricity,
 )
 from .qt import (
     DEFAULT_ENUM_CAP,

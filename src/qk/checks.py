@@ -24,9 +24,9 @@ import random as _random
 import time
 from dataclasses import dataclass
 
-from .digraph import Digraph, INF, build, distance_matrix, distances_from, strong_components
+from .digraph import Digraph, INF, build, distances_from
 from .errors import NotQuasiTransitiveInput
-from .kings import census, degree_threshold_vertices, find_kplus1_king_fast, has_unique_initial_component
+from .kings import census, degree_threshold_vertices, find_kplus1_king_fast
 from .kernels import construct_kplus2_kernel
 from .qt import FORWARD, GenConfig, mix_seed, qt_closure, random_qt
 
@@ -43,14 +43,10 @@ class Violation:
     instance: int
 
 
-def _eccs(dm) -> list[float]:
-    return [max(dm[v]) for v in range(dm.n)]
-
-
 def check_distance_dichotomy(d: Digraph, k: int):
     """Return-distance table: a pair at forward distance >= k must answer
     back at distance 1, <= k+1, or <= 2 depending on parity and offset."""
-    dm = distance_matrix(d)
+    dm = d.dist
     fired = False
     out = []
     for u in range(d.n):
@@ -74,8 +70,8 @@ def check_distance_dichotomy(d: Digraph, k: int):
 def check_component_domination(d: Digraph, k: int):
     """If one strong component reaches another, every cross pair sits at
     distance <= k-1."""
-    dm = distance_matrix(d)
-    cond = strong_components(d)
+    dm = d.dist
+    cond = d.cond
     m = len(cond.components)
     fired = False
     out = []
@@ -100,7 +96,7 @@ def check_min_path_domination(d: Digraph, k: int):
     """Arcs forced from the far end (and the vertex before it) of any
     minimum path of length k+2 back onto the path and into the start's
     distance ball."""
-    dm = distance_matrix(d)
+    dm = d.dist
     n = d.n
     fired = False
     out = []
@@ -163,7 +159,7 @@ def check_min_path_domination(d: Digraph, k: int):
 def check_degree_growth(d: Digraph, k: int):
     """Out-degree climbs along minimum paths of length k+2: by k at the far
     endpoint (even k), by (k-1)/2 at the vertex before it (odd k)."""
-    dm = distance_matrix(d)
+    dm = d.dist
     n = d.n
     fired = False
     out = []
@@ -199,9 +195,9 @@ def check_king_theorems(d: Digraph, k: int):
     king triple and final disjunctions under a unique initial component;
     distance-(k+1) propagation; and, for k=2, maximum out-degree vertices
     are 3-kings whenever any 3-king exists."""
-    dm = distance_matrix(d)
+    dm = d.dist
     n = d.n
-    ecc = _eccs(dm)
+    ecc = d.ecc
     fired = False
     out = []
 
@@ -247,8 +243,8 @@ def check_king_theorems(d: Digraph, k: int):
                             f"distance-(k+2) class of {v} misses arc between {x} and {y}",
                         ))
 
-    unique, comp = has_unique_initial_component(d)
-    if unique:
+    comp = d.cond.initial_component
+    if comp is not None:
         all_c = all(ecc[x] <= k + 1 for x in comp)
         triple_applies = (k % 2 == 0 and k >= 4) or k % 2 == 1
         if triple_applies and not all_c:
@@ -323,9 +319,8 @@ def check_king_theorems(d: Digraph, k: int):
 
 def check_unique_initial_equivalence(d: Digraph, k: int):
     """A (k+1)-king exists iff the initial strong component is unique."""
-    dm = distance_matrix(d)
-    kings = [v for v in range(d.n) if max(dm[v]) <= k + 1]
-    unique, _ = has_unique_initial_component(d)
+    kings = [v for v, e in enumerate(d.ecc) if e <= k + 1]
+    unique = d.cond.initial_component is not None
     out = []
     if bool(kings) != unique:
         out.append((
@@ -339,9 +334,8 @@ def check_unique_initial_equivalence(d: Digraph, k: int):
 def check_degree_threshold_kings(d: Digraph, k: int):
     """Every vertex of the unique initial component above the parity degree
     cutoff is a (k+1)-king, and the fast finder returns a verified king."""
-    unique, _ = has_unique_initial_component(d)
     out = []
-    if not unique:
+    if d.cond.initial_component is None:
         king = find_kplus1_king_fast(d, k)
         if king is not None:
             out.append((
@@ -350,19 +344,18 @@ def check_degree_threshold_kings(d: Digraph, k: int):
                 f"finder returned {king} despite multiple initial components",
             ))
         return False, out
-    dm = distance_matrix(d)
+    ecc = d.ecc
     for v in degree_threshold_vertices(d, k):
-        ecc = max(dm[v])
-        if ecc > k + 1:
+        if ecc[v] > k + 1:
             out.append((
-                "threshold-vertex-is-king", (v, ecc), f"threshold vertex {v} has ecc {ecc} > {k + 1}"
+                "threshold-vertex-is-king", (v, ecc[v]), f"threshold vertex {v} has ecc {ecc[v]} > {k + 1}"
             ))
     try:
         king = find_kplus1_king_fast(d, k)
     except NotQuasiTransitiveInput as exc:
         out.append(("finder-rejected-input", (), str(exc)))
         return True, out
-    if king is None or max(dm[king]) > k + 1:
+    if king is None or ecc[king] > k + 1:
         out.append(("finder-returns-king", (king,), f"finder returned {king}"))
     return True, out
 
@@ -392,7 +385,7 @@ def check_kernel_construction(d: Digraph, k: int):
             "certificate", (s, cert.witness), f"{s} failed verification with witness {cert.witness}"
         ))
     # reverse(d) has the same strong components, so its initial ones are d's terminal ones
-    expected = len(strong_components(d).terminal)
+    expected = len(d.cond.terminal)
     if len(s) != expected:
         out.append((
             "one-per-component", (s, expected), f"kernel {s} has {len(s)} members, expected {expected}"
@@ -461,16 +454,10 @@ def kings_corpus(
 
 def _interesting(d: Digraph, k: int, want: int) -> bool:
     if want == 1:
-        return strong_components(d).dag.arc_count > 0
-    dm = distance_matrix(d)
+        return d.cond.dag.arc_count > 0
     if want == 0:
-        return any(max(dm[v]) == k + 2 for v in range(d.n))
-    best = -1
-    for u in range(d.n):
-        for v in range(d.n):
-            if dm[u][v] is not INF and dm[u][v] > best:
-                best = dm[u][v]
-    return best >= k + 2
+        return k + 2 in d.ecc
+    return any(k + 2 <= x < INF for row in d.dist for x in row)
 
 
 def _long_diameter_instance(

@@ -264,6 +264,17 @@ def _cmd_lemmas(args) -> int:
     return verdict
 
 
+def _k_value(text: str) -> int:
+    """argparse type of --k: an integer >= 2."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"k must be >= 2, got {k}")
+    return k
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qk", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qk {__version__}")
@@ -274,7 +285,7 @@ def build_parser() -> _Parser:
         if needs_file:
             p.add_argument("file", help="edge-list file ('n m' header, 'u v' lines)")
         if needs_k:
-            p.add_argument("--k", type=int, required=True, help="transitivity parameter (>= 2)")
+            p.add_argument("--k", type=_k_value, required=True, help="transitivity parameter (>= 2)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.set_defaults(fn=fn)
         return p

@@ -8,9 +8,16 @@ serialization and traversal order canonical.
 Distances come from one bit-parallel BFS over bitmask rows: row x is a
 Python int with bit y set for each arc x -> y, and a BFS level is the OR of
 its frontier's rows, so a dense row costs one big-int operation rather than
-one step per arc.  Each Digraph computes its rows once, on first use
-(`Digraph.masks`); they are also its arc index for `has_arc` and
-`adjacent`.
+one step per arc.
+
+A Digraph is immutable, so it computes each of these at most once, on
+first use, and keeps it:
+- `masks`, the bitmask rows, which are also its arc index for `has_arc`
+  and `adjacent`;
+- `dist`, the all-pairs distance rows (`distance_matrix`);
+- `ecc`, the out-eccentricities, one BFS per vertex; each row is dropped
+  as soon as its maximum is taken, so `ecc` never holds the n x n matrix;
+- `cond`, the strong components and condensation (`strong_components`).
 
 Unreachable distances are the float sentinel INF (math.inf), never a large
 finite number: the structural results implemented elsewhere branch on
@@ -34,12 +41,15 @@ class Digraph:
     trusts its input.
     """
 
-    __slots__ = ("n", "adj", "_masks")
+    __slots__ = ("n", "adj", "_masks", "_dist", "_ecc", "_cond")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
         self.n = n
         self.adj = adj
         self._masks: tuple[int, ...] | None = None
+        self._dist: tuple[tuple[float, ...], ...] | None = None
+        self._ecc: tuple[float, ...] | None = None
+        self._cond: Condensation | None = None
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -48,10 +58,29 @@ class Digraph:
             self._masks = tuple(sum(1 << y for y in row) for row in self.adj)
         return self._masks
 
-    # -- queries ------------------------------------------------------------
+    @property
+    def dist(self) -> tuple[tuple[float, ...], ...]:
+        """All-pairs hop counts: dist[u][v], INF when v is unreachable."""
+        if self._dist is None:
+            self._dist = distance_matrix(self)
+        return self._dist
 
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+    @property
+    def ecc(self) -> tuple[float, ...]:
+        """Out-eccentricities: ecc[v] = max over u of d(v, u), INF iff some
+        vertex is unreachable from v."""
+        if self._ecc is None:
+            self._ecc = tuple(max(distances_from(self, v)) for v in range(self.n))
+        return self._ecc
+
+    @property
+    def cond(self) -> Condensation:
+        """Strong components and condensation DAG."""
+        if self._cond is None:
+            self._cond = strong_components(self)
+        return self._cond
+
+    # -- queries ------------------------------------------------------------
 
     def out_degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -158,23 +187,9 @@ def bfs(masks, start: int) -> list[float]:
     return dist
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop counts; dist[u][v] uses INF for unreachable."""
-
-    dist: tuple[tuple[float, ...], ...]
-
-    def __getitem__(self, u: int) -> tuple[float, ...]:
-        return self.dist[u]
-
-    @property
-    def n(self) -> int:
-        return len(self.dist)
-
-
-def distance_matrix(d: Digraph) -> DistanceMatrix:
-    """One BFS per vertex."""
-    return DistanceMatrix(tuple(tuple(distances_from(d, s)) for s in range(d.n)))
+def distance_matrix(d: Digraph) -> tuple[tuple[float, ...], ...]:
+    """All-pairs hop counts, one BFS per vertex; read it as `d.dist`."""
+    return tuple(tuple(distances_from(d, s)) for s in range(d.n))
 
 
 @dataclass(frozen=True)
@@ -191,6 +206,15 @@ class Condensation:
     dag: Digraph
     initial: frozenset[int]
     terminal: frozenset[int]
+
+    @property
+    def initial_component(self) -> tuple[int, ...] | None:
+        """The vertices of the only initial component, or None when there
+        are several (or none, on the empty digraph)."""
+        if len(self.initial) != 1:
+            return None
+        (idx,) = self.initial
+        return self.components[idx]
 
 
 def _tarjan_components(d: Digraph) -> list[list[int]]:
@@ -242,7 +266,8 @@ def _tarjan_components(d: Digraph) -> list[list[int]]:
 
 
 def strong_components(d: Digraph) -> Condensation:
-    """Strong components, condensation DAG and initial/terminal sets."""
+    """Strong components, condensation DAG and initial/terminal sets; read
+    it as `d.cond`."""
     raw = _tarjan_components(d)
     comps = sorted((tuple(sorted(c)) for c in raw), key=lambda c: c[0])
     comp_of = [0] * d.n

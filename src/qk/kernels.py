@@ -16,7 +16,7 @@ import itertools
 import random as _random
 from dataclasses import dataclass
 
-from .digraph import Digraph, build, distances_from, reverse, strong_components
+from .digraph import Digraph, build, distances_from, reverse
 from .errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
 from .kings import max_degree_vertex
 from .qt import GenConfig, certify_qt, mix_seed, random_qt
@@ -102,15 +102,17 @@ def construct_kplus2_kernel(d: Digraph, k: int) -> KernelCertificate:
     Takes one maximum out-degree vertex (smallest id on ties, degree
     measured within the component) from each initial strong component of
     the reversed digraph, and returns the certificate of that set (the
-    kernel is its candidate).  Failed verification means the input was not
-    k-quasi-transitive and raises NotQuasiTransitiveInput.
+    kernel is its candidate); those are the terminal components of d, as
+    reversal keeps the components and their numbering.  Failed verification
+    means the input was not k-quasi-transitive and raises
+    NotQuasiTransitiveInput.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     rev = reverse(d)
-    cond = strong_components(rev)
+    cond = d.cond
     s = tuple(
-        sorted(max_degree_vertex(rev, cond.components[idx]) for idx in cond.initial)
+        sorted(max_degree_vertex(rev, cond.components[idx]) for idx in cond.terminal)
     )
     cert = verify_kernel(d, s, k + 2, k + 1, rev=rev)
     if not cert.verified:
@@ -136,7 +138,7 @@ def exhaustive_kernel_search(
     if d.n > cap:
         raise InstanceTooLarge(d.n, cap)
     n = d.n
-    rows = [distances_from(d, v) for v in range(n)]
+    rows = d.dist
     pair_ok = [
         [rows[u][v] >= k and rows[v][u] >= k for v in range(n)] for u in range(n)
     ]

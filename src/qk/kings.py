@@ -14,36 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .digraph import INF, Digraph, distances_from, strong_components
-from .errors import NotQuasiTransitiveInput, VertexOutOfRange
-
-
-def out_eccentricity(d: Digraph, v: int) -> float:
-    """max over u of d(v, u); INF iff some vertex is unreachable from v."""
-    if not (0 <= v < d.n):
-        raise VertexOutOfRange(v, d.n)
-    return max(distances_from(d, v))
-
-
-def all_eccentricities(d: Digraph) -> tuple[float, ...]:
-    return tuple(max(distances_from(d, v)) for v in range(d.n))
+from .digraph import Digraph, distances_from
+from .errors import NotQuasiTransitiveInput
 
 
 def all_r_kings(d: Digraph, r: float) -> tuple[int, ...]:
     """Sorted vertex ids with out-eccentricity <= r."""
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return tuple(v for v in range(d.n) if max(distances_from(d, v)) <= r)
-
-
-def has_unique_initial_component(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
-    """(True, component vertex set) when exactly one initial strong
-    component exists, else (False, None)."""
-    cond = strong_components(d)
-    if len(cond.initial) != 1:
-        return False, None
-    (idx,) = cond.initial
-    return True, cond.components[idx]
+    return tuple(v for v, e in enumerate(d.ecc) if e <= r)
 
 
 def _threshold(k: int) -> int:
@@ -73,8 +52,8 @@ def degree_threshold_vertices(d: Digraph, k: int) -> tuple[int, ...]:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    unique, comp = has_unique_initial_component(d)
-    if not unique:
+    comp = d.cond.initial_component
+    if comp is None:
         return ()
     degs = _component_out_degrees(d, comp)
     cutoff = max(degs.values()) - _threshold(k)
@@ -92,8 +71,8 @@ def find_kplus1_king_fast(d: Digraph, k: int) -> int | None:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    unique, comp = has_unique_initial_component(d)
-    if not unique:
+    comp = d.cond.initial_component
+    if comp is None:
         return None
     king = max_degree_vertex(d, comp)
     if max(distances_from(d, king)) > k + 1:
@@ -244,13 +223,12 @@ def census(d: Digraph, k: int, checked: bool = False) -> KingReport:
 
         if not certify_qt(d, k):
             raise NotQuasiTransitiveInput(f"input is not {k}-quasi-transitive")
-    ecc = all_eccentricities(d)
+    ecc = d.ecc
     kings = {r: tuple(v for v in range(d.n) if ecc[v] <= r) for r in range(1, k + 3)}
-    unique, comp = has_unique_initial_component(d)
+    comp = d.cond.initial_component
     fast: int | None = None
     rows: list[AuditRow] = []
-    if unique:
-        assert comp is not None
+    if comp is not None:
         candidate = max_degree_vertex(d, comp)
         if ecc[candidate] <= k + 1:
             fast = candidate
@@ -269,7 +247,7 @@ def census(d: Digraph, k: int, checked: bool = False) -> KingReport:
         k=k,
         ecc_out=ecc,
         kings_by_radius=kings,
-        unique_initial=unique,
+        unique_initial=comp is not None,
         initial_component=comp,
         fast_king=fast,
         max_out_degree=dmax_global,

@@ -64,15 +64,6 @@ class QtViolation:
     def v(self) -> int:
         return self.path[-1]
 
-    def holds_in(self, d: Digraph) -> bool:
-        """Re-validate this witness against d."""
-        p = self.path
-        if len(set(p)) != len(p):
-            return False
-        if not all(d.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1)):
-            return False
-        return not d.adjacent(p[0], p[-1])
-
 
 @dataclass(frozen=True)
 class GenConfig:

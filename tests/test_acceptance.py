@@ -20,14 +20,8 @@ from qk.checks import LEMMA_CHECKS, lemma_corpus, kings_corpus, run_checker
 from qk.cli import main
 from qk.edgelist import write_digraph
 from qk.kernels import construct_kplus2_kernel, exhaustive_kernel_search, verify_kernel
-from qk.kings import (
-    all_r_kings,
-    census,
-    degree_threshold_vertices,
-    find_kplus1_king_fast,
-    has_unique_initial_component,
-    out_eccentricity,
-)
+from qk.digraph import distances_from
+from qk.kings import all_r_kings, census, degree_threshold_vertices, find_kplus1_king_fast
 from qk.qt import certify_qt
 
 from instances import chorded_path, cycle, d4
@@ -72,7 +66,7 @@ def test_2_king_existence_equivalence(capsys, corpora):
         for d in corpus:
             total += 1
             has_king = bool(all_r_kings(d, k + 1))
-            unique, _ = has_unique_initial_component(d)
+            unique = d.cond.initial_component is not None
             exceptions += has_king != unique
     elapsed = build_s + time.monotonic() - t0
     ok = exceptions == 0 and elapsed < 60.0
@@ -86,14 +80,13 @@ def test_3_fast_finder_soundness(capsys, corpora):
     eligible = verified = thr_total = thr_kings = 0
     for k, corpus in corpus_by_k.items():
         for d in corpus:
-            unique, _ = has_unique_initial_component(d)
-            if unique:
+            if d.cond.initial_component is not None:
                 eligible += 1
                 v = find_kplus1_king_fast(d, k)  # raises if BFS refutes it
-                verified += v is not None and out_eccentricity(d, v) <= k + 1
+                verified += v is not None and max(distances_from(d, v)) <= k + 1
             for v in degree_threshold_vertices(d, k):
                 thr_total += 1
-                thr_kings += out_eccentricity(d, v) <= k + 1
+                thr_kings += max(distances_from(d, v)) <= k + 1
     ok = verified == eligible and thr_kings == thr_total
     emit(capsys, 3, ok,
          f"fast finder verified on {verified}/{eligible} unique-initial instances; "
@@ -126,8 +119,8 @@ def test_5_counting_audits(capsys, corpora):
         for d in corpus:
             total += 1
             failures += len(census(d, k).failed_audits)
-            unique, comp = has_unique_initial_component(d)
-            if not unique:
+            comp = d.cond.initial_component
+            if comp is None:
                 continue
             evaluated += 1
             c = len(comp)

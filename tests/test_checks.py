@@ -11,12 +11,15 @@ are hand-derived from the distance matrices.
 import hashlib
 import json
 import math
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import chorded_path, complete, cycle, d4, long_tournament, path, two_cycles
+import qk.digraph
 from qk import INF, build
 from qk.checks import (
     CHECKERS,
@@ -31,6 +34,7 @@ from qk.checks import (
 )
 from qk.cli import _jsonable
 from qk.edgelist import emit
+from qk.kings import census, find_kplus1_king_fast
 from qk.qt import GenConfig, certify_qt, random_qt
 
 
@@ -425,6 +429,54 @@ class TestRunSuite:
         assert len(lines) == len(results)
         assert all("ok" in line for line in lines)
         assert lines[0].startswith("distance-dichotomy")
+
+
+class TestAnalysedOnce:
+    """However many checkers read an instance, its distance matrix and its
+    condensation are computed once (they live on the Digraph)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count calls per digraph of the three analysis functions, patched
+        on every qk module that binds them."""
+        counts = {}
+        held = []  # keeps counted digraphs alive so that their ids stay distinct
+        modules = [m for key, m in sys.modules.items() if key == "qk" or key.startswith("qk.")]
+        for name in ("distance_matrix", "strong_components", "distances_from"):
+            fn = getattr(qk.digraph, name)
+            counter = counts[name] = Counter()
+
+            def counted(d, *args, _fn=fn, _counter=counter):
+                held.append(d)
+                _counter[id(d)] += 1
+                return _fn(d, *args)
+
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+        return counts
+
+    def test_every_checker_on_both_corpora(self, calls):
+        for k in (2, 3):
+            lemmas = lemma_corpus(k, trials=12)
+            kings = kings_corpus(k, trials=40)
+            for check_id in LEMMA_CHECKS:
+                run_checker(check_id, k, lemmas)
+            for check_id in KING_CHECKS:
+                run_checker(check_id, k, kings)
+        assert calls["distance_matrix"] and calls["strong_components"]
+        assert max(calls["distance_matrix"].values()) == 1
+        assert max(calls["strong_components"].values()) == 1
+
+    def test_fast_finder_runs_one_bfs(self, calls):
+        assert find_kplus1_king_fast(long_tournament(40), 2) is not None
+        assert sum(calls["distances_from"].values()) == 1
+
+    def test_census_builds_no_matrix(self, calls):
+        census(long_tournament(40), 2)
+        assert not calls["distance_matrix"]
+        assert sum(calls["distances_from"].values()) == 40
 
 
 class TestGeneratedConsistency:

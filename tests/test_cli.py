@@ -306,6 +306,20 @@ class TestUsageAndErrors:
             main(["check", d4_file])
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize("command", [["kings"], ["kernel"], ["kings", "--fast"], ["check"]])
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_k_below_two_is_a_usage_error(self, capsys, d4_file, command, k):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], d4_file, "--k", k, *command[1:]])
+        assert exc.value.code == 3
+        assert f"k must be >= 2, got {k}" in capsys.readouterr().err
+
+    def test_k_must_be_an_integer(self, capsys, d4_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["kings", d4_file, "--k", "two"])
+        assert exc.value.code == 3
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
 
 class TestJsonStability:
     def test_byte_identical_reports(self, capsys, d4_file):

@@ -148,16 +148,18 @@ class TestBitsetBfs:
 
     def test_long_tournament_130(self):
         g = long_tournament(130)
-        dm = distance_matrix(g)
-        assert dm.dist == tuple(tuple(row) for row in bruteforce.floyd_distances(g))
-        assert dm[0][129] == 129
+        fw = tuple(tuple(row) for row in bruteforce.floyd_distances(g))
+        assert g.dist == fw
+        assert g.ecc == tuple(max(row) for row in fw)
+        assert g.dist[0][129] == 129
 
     def test_sparse_100_with_unreachable_pairs(self):
         g = _sparse_digraph(100, 0.015, seed=7)
-        dm = distance_matrix(g)
-        assert dm.dist == tuple(tuple(row) for row in bruteforce.floyd_distances(g))
-        assert any(INF in row for row in dm.dist)
-        assert any(1 < x < INF for row in dm.dist for x in row)
+        fw = tuple(tuple(row) for row in bruteforce.floyd_distances(g))
+        assert g.dist == fw
+        assert g.ecc == tuple(max(row) for row in fw)
+        assert any(INF in row for row in g.dist)
+        assert any(1 < x < INF for row in g.dist for x in row)
 
     def test_masks_agree_with_adj(self):
         for g in (d4(), long_tournament(130), _sparse_digraph(100, 0.015, seed=7), build(0, [])):

@@ -5,17 +5,14 @@ from hypothesis import given, settings
 
 import bruteforce
 from instances import chorded_path, complete, cycle, d4, long_tournament, path, two_cycles
-from qk import INF, Digraph, build
+from qk import INF, Digraph, build, distances_from
 from qk.errors import NotQuasiTransitiveInput, VertexOutOfRange
 from qk.kings import (
-    all_eccentricities,
     all_r_kings,
     census,
     degree_threshold_vertices,
     find_kplus1_king_fast,
-    has_unique_initial_component,
     max_degree_vertex,
-    out_eccentricity,
 )
 from qk.qt import GenConfig, random_qt
 from strategies import digraphs
@@ -23,23 +20,24 @@ from strategies import digraphs
 
 class TestEccentricity:
     def test_four_vertex_instance(self):
-        assert all_eccentricities(d4()) == (2, INF, INF, INF)
+        assert d4().ecc == (2, INF, INF, INF)
 
     def test_single_vertex(self):
-        assert out_eccentricity(build(1, []), 0) == 0
+        assert max(distances_from(build(1, []), 0)) == 0
 
     def test_chorded_path(self):
-        assert all_eccentricities(chorded_path(2)) == (3, 2, 2, 3)
+        assert chorded_path(2).ecc == (3, 2, 2, 3)
 
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
-            out_eccentricity(d4(), 4)
+            max(distances_from(d4(), 4))
 
     @given(digraphs())
     def test_matches_distance_rows(self, d):
         rows = bruteforce.floyd_distances(d)
+        assert d.ecc == tuple(max(row) for row in rows)
         for v in range(d.n):
-            assert out_eccentricity(d, v) == max(rows[v])
+            assert max(distances_from(d, v)) == max(rows[v])
 
 
 class TestRKings:
@@ -83,13 +81,13 @@ class TestRKings:
 
 class TestUniqueInitial:
     def test_four_vertex_instance(self):
-        assert has_unique_initial_component(d4()) == (True, (0,))
+        assert d4().cond.initial_component == (0,)
 
     def test_two_disjoint_cycles(self):
-        assert has_unique_initial_component(two_cycles()) == (False, None)
+        assert two_cycles().cond.initial_component is None
 
     def test_strong_digraph(self):
-        assert has_unique_initial_component(cycle(5)) == (True, (0, 1, 2, 3, 4))
+        assert cycle(5).cond.initial_component == (0, 1, 2, 3, 4)
 
 
 class TestFastFinder:
@@ -119,7 +117,7 @@ class TestFastFinder:
         # vertex 1 leads.  No path has 4 arcs, so d is 4-quasi-transitive.
         d = build(6, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 3), (0, 4), (0, 5)])
         assert d.max_out_degree() == d.out_degree(0) == 4
-        assert has_unique_initial_component(d) == (True, (0, 1, 2))
+        assert d.cond.initial_component == (0, 1, 2)
         assert max_degree_vertex(d, (0, 1, 2)) == 1
         assert find_kplus1_king_fast(d, 4) == 1
         assert census(d, 4, checked=True).fast_king == 1
@@ -137,7 +135,7 @@ class TestFastFinder:
             for seed in range(15):
                 d = random_qt(GenConfig(n=8, k=k, arc_prob=0.3, seed=seed))
                 for v in degree_threshold_vertices(d, k):
-                    assert out_eccentricity(d, v) <= k + 1
+                    assert max(distances_from(d, v)) <= k + 1
 
 
 class TestCensus:

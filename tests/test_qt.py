@@ -78,7 +78,7 @@ class TestRecognition:
     def test_violations_revalidate(self):
         g = path(6)
         vs = is_k_quasi_transitive(g, 2)
-        assert vs and all(v.holds_in(g) for v in vs)
+        assert vs and [v.path for v in vs] == bruteforce.sequence_violations(g, 2)
         assert all(v.u == v.path[0] and v.v == v.path[-1] for v in vs)
 
     def test_cap(self, monkeypatch):
