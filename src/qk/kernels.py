@@ -129,14 +129,71 @@ def exhaustive_kernel_search(
     """Smallest (k, l)-kernel, lexicographically first among that size,
     or None if no subset qualifies.
 
-    Complete search over all vertex subsets in size-then-lex order, with
-    pairwise-independence and bitmask-absorbency tables precomputed so each
-    subset costs O(|S|^2).  Refuses instances larger than cap.
+    Exact search, one size at a time, by depth-first branching over
+    independent candidates in increasing vertex order (the candidate-set
+    branching of Bron & Kerbosch, applied to k-independent sets): after
+    picking u, only the larger vertices k-independent of u stay candidates,
+    so only independent sets are built, in size-then-lex order.  A branch is
+    cut as soon as all the vertices from its lowest remaining candidate up,
+    taken together, could not absorb what is still uncovered, since every
+    later pick comes from among them.  Refuses instances larger than cap.
     """
     if k < 1 or l < 1:
         raise ValueError("kernel radii must be >= 1")
     if d.n > cap:
         raise InstanceTooLarge(d.n, cap)
+    n = d.n
+    absorb, later = _kernel_tables(d, k, l)
+    full = (1 << n) - 1
+    # suffix[v]: everything the vertices >= v absorb together
+    suffix = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        suffix[v] = suffix[v + 1] | absorb[v]
+    chosen: list[int] = []
+
+    def extend(size: int, cand: int, covered: int) -> bool:
+        if size == 0:
+            return covered == full
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            if covered | suffix[v] != full:
+                return False
+            chosen.append(v)
+            if extend(size - 1, cand & later[v], covered | absorb[v]):
+                return True
+            chosen.pop()
+            cand ^= low
+        return False
+
+    for size in range(n + 1):
+        if extend(size, full, 0):
+            return tuple(chosen)
+    return None
+
+
+def _kernel_tables(d: Digraph, k: int, l: int) -> tuple[list[int], list[int]]:
+    """Bitmask tables over d.dist: absorb[u] holds each z with
+    d(z, u) <= l (u itself included); later[u] holds each v > u with
+    d(u, v) >= k and d(v, u) >= k."""
+    n = d.n
+    rows = d.dist
+    absorb = [0] * n
+    later = [0] * n
+    for u in range(n):
+        out = rows[u]
+        for v in range(n):
+            into = rows[v][u]
+            if into <= l:
+                absorb[u] |= 1 << v
+            if v > u and into >= k and out[v] >= k:
+                later[u] |= 1 << v
+    return absorb, later
+
+
+def _combinations_kernel(d: Digraph, k: int, l: int) -> tuple[int, ...] | None:
+    """The same answer as exhaustive_kernel_search, by the plain scan of
+    every subset in itertools.combinations order, with no pruning."""
     n = d.n
     rows = d.dist
     pair_ok = [
@@ -174,11 +231,13 @@ class Counterexample:
 
 def recheck_counterexample(ce: Counterexample) -> bool:
     """Independent re-verification of a hunt hit: rebuild the digraph,
-    re-certify quasi-transitivity, and re-run the complete kernel search."""
+    re-certify quasi-transitivity, and re-run a complete kernel search by
+    the plain subset scan, which shares no pruning with the search that
+    found the hit."""
     d = build(ce.n, list(ce.arcs))
     if not certify_qt(d, ce.k):
         return False
-    return exhaustive_kernel_search(d, ce.radii[0], ce.radii[1], cap=ce.n) is None
+    return _combinations_kernel(d, ce.radii[0], ce.radii[1]) is None
 
 
 @dataclass(frozen=True)
@@ -219,7 +278,7 @@ def hunt_conjecture(
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if not (1 <= n_min <= n_max):
-        raise ValueError("need 1 <= n_min <= n_max")
+        raise ValueError(f"need 1 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     if n_max > 16:
         raise InstanceTooLarge(n_max, 16)
     rr = (k + 1, k) if radii is None else (int(radii[0]), int(radii[1]))

@@ -10,7 +10,7 @@ import qk.cli
 import qk.kernels
 from qk.cli import main
 from qk.edgelist import content_digest, parse, write_digraph
-from qk.kernels import verify_kernel
+from qk.kernels import Counterexample, recheck_counterexample, verify_kernel
 from qk.qt import certify_qt
 
 from instances import chorded_path, cycle, d4, long_tournament, path, two_cycles
@@ -259,6 +259,28 @@ class TestHunt:
                              "--indep", "4", "--absorb", "3")
         assert code == 0
         assert doc["result"]["radii"] == [4, 3]
+
+    def test_hit_exits_2_and_rechecks(self, capsys):
+        argv = ["hunt", "--k", "2", "--indep", "5", "--absorb", "1",
+                "--trials", "20", "--n-max", "8"]
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert "COUNTEREXAMPLE trial " in out and "refuted" in out
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        hits = doc["result"]["counterexamples"]
+        assert hits
+        for hit in hits:
+            ce = Counterexample(
+                k=hit["k"], radii=tuple(hit["radii"]), n=hit["n"],
+                arcs=tuple(map(tuple, hit["arcs"])), trial=hit["trial"], seed=hit["seed"],
+            )
+            assert recheck_counterexample(ce)
+
+    def test_n_max_below_hidden_n_min(self, capsys):
+        assert main(["hunt", "--k", "2", "--n-max", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "n_min=4, n_max=3" in err
 
 
 class TestLemmas:

@@ -1,14 +1,20 @@
 """Kernel verification, construction, exhaustive search, and the hunt."""
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 
 import bruteforce
 from instances import chorded_path, complete, cycle, d4, path, two_cycles
-from qk import build
+from qk import build, cli
 from qk.errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
 from qk.kernels import (
     Counterexample,
+    _combinations_kernel,
+    _kernel_tables,
     construct_kplus2_kernel,
     exhaustive_kernel_search,
     hunt_conjecture,
@@ -104,6 +110,17 @@ class TestConstruct:
                 assert len(s) == len(cond.initial)
 
 
+def _seeded_qt(count, n_max, seed):
+    """count seeded (k, random k-quasi-transitive digraph) pairs, orders in
+    [1, n_max], k in 2..5, expected degree 0.3..3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        k = rng.randint(2, 5)
+        p = min(1.0, rng.uniform(0.3, 3.0) / n)
+        yield k, random_qt(GenConfig(n=n, k=k, arc_prob=p, seed=rng.getrandbits(64)))
+
+
 class TestExhaustiveSearch:
     def test_four_vertex_instance(self):
         assert exhaustive_kernel_search(d4(), 2, 1) == (0, 2)
@@ -131,6 +148,55 @@ class TestExhaustiveSearch:
                 d, k, l
             )
 
+    def test_matches_plain_scan_on_generated_input(self):
+        # the pruned search against the unpruned combinations scan that
+        # rechecks hunt hits, on orders up to 15 and six radius pairs
+        seen_none = seen_multi = 0
+        for k, d in _seeded_qt(120, 15, seed=7):
+            for radii in ((k + 1, k), (k, k), (2, 1), (k + 2, k + 1), (1, 1), (5, 1)):
+                kernel = exhaustive_kernel_search(d, *radii)
+                assert kernel == _combinations_kernel(d, *radii), (d.n, k, radii)
+                seen_none += kernel is None
+                seen_multi += kernel is not None and len(kernel) > 1
+        assert seen_none >= 50 and seen_multi >= 200
+
+    def test_matches_powerset_oracle_on_generated_input(self):
+        for k, d in _seeded_qt(60, 9, seed=8):
+            for radii in ((k + 1, k), (2, 1), (1, 1)):
+                assert exhaustive_kernel_search(d, *radii) == bruteforce.powerset_kernel(
+                    d, *radii
+                )
+
+    def test_tables_match_floyd_distances(self):
+        for k, d in _seeded_qt(40, 10, seed=9):
+            dist = bruteforce.floyd_distances(d)
+            absorb, later = _kernel_tables(d, k, k - 1)
+            for u in range(d.n):
+                assert absorb[u] == sum(
+                    1 << z for z in range(d.n) if dist[z][u] <= k - 1
+                )
+                assert later[u] == sum(
+                    1 << v
+                    for v in range(u + 1, d.n)
+                    if dist[u][v] >= k and dist[v][u] >= k
+                )
+
+    def test_long_cycles(self):
+        # on a directed cycle, consecutive members of a (3, l)-kernel sit at
+        # least 3 and at most l + 1 steps apart: none exists when l = 1, and
+        # when l = 2 only on cycles whose length 3 divides
+        assert exhaustive_kernel_search(cycle(20), 3, 1) is None
+        assert exhaustive_kernel_search(cycle(20), 3, 2) is None
+        assert exhaustive_kernel_search(cycle(18), 3, 2) == (0, 3, 6, 9, 12, 15)
+
+    def test_hunt_hits_are_kernel_free(self):
+        led = hunt_conjecture(2, trials=20, n_max=8, base_seed=0, radii=(5, 1))
+        assert led.counterexamples
+        for ce in led.counterexamples:
+            d = build(ce.n, list(ce.arcs))
+            assert exhaustive_kernel_search(d, 5, 1) is None
+            assert _combinations_kernel(d, 5, 1) is None
+
     @given(digraphs(max_n=7))
     @settings(deadline=None)
     def test_result_verifies(self, d):
@@ -139,7 +205,23 @@ class TestExhaustiveSearch:
             assert verify_kernel(d, s, 3, 2).verified
 
 
+# SHA-256 of the sorted-key JSON of hunt_conjecture(k, trials=200, n_max=13,
+# base_seed=5), recorded with the plain combinations search.
+LEDGER_DIGESTS = {
+    2: "30073f607465000017e0bd8409d78bef7226fa8b49add2fe6e708a87c4734fbd",
+    3: "35414814bd6e94430314fc66a5b0328d567532ec55e4d1d8950e8499acd59ec6",
+    4: "198f2ebdbd0b32294aa4ca1e67a7be9716ac4370209f6315175eceb0d50ea998",
+    5: "81513dfeae390dd4728e366f3c2725c0156cdc1bfb2864a48651a233654846d3",
+}
+
+
 class TestHunt:
+    @pytest.mark.parametrize("k", sorted(LEDGER_DIGESTS))
+    def test_ledger_pinned(self, k):
+        ledger = hunt_conjecture(k, trials=200, n_max=13, base_seed=5)
+        doc = json.dumps(cli._jsonable(ledger), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == LEDGER_DIGESTS[k]
+
     def test_smoke_run_finds_kernels_everywhere(self):
         led = hunt_conjecture(2, trials=30, n_max=6, base_seed=7)
         assert led.trials == 30 and not led.refuted
