@@ -214,7 +214,12 @@ def _cmd_hunt(args) -> int:
             raise QkError("--indep and --absorb must be given together")
         radii = (args.indep, args.absorb)
     ledger = hunt_conjecture(
-        args.k, trials=args.trials, n_max=args.n_max, base_seed=args.seed, radii=radii
+        args.k,
+        trials=args.trials,
+        n_max=args.n_max,
+        base_seed=args.seed,
+        radii=radii,
+        n_min=args.n_min,
     )
     lines = [
         f"k={ledger.k} radii={ledger.radii} trials={ledger.trials} "
@@ -316,6 +321,7 @@ def build_parser() -> _Parser:
 
     hunt = add("hunt", _cmd_hunt, "search for a kernel-conjecture counterexample", needs_file=False)
     hunt.add_argument("--trials", type=int, default=500)
+    hunt.add_argument("--n-min", type=int, default=4, dest="n_min")
     hunt.add_argument("--n-max", type=int, default=9, dest="n_max")
     hunt.add_argument("--seed", type=int, default=0)
     hunt.add_argument("--indep", type=int, help="override independence radius")

@@ -99,39 +99,64 @@ def _pred_masks(d: Digraph) -> list[int]:
     return pred
 
 
-def _arc_sets(d: Digraph) -> tuple[list[set[int]], list[int]]:
-    """Successor sets and predecessor masks of d, for callers that add arcs."""
-    return [set(row) for row in d.adj], _pred_masks(d)
+def _arc_sets(d: Digraph) -> tuple[list[int], list[int]]:
+    """Successor and predecessor bitmask rows of d, for callers that add arcs."""
+    return list(d.masks), _pred_masks(d)
 
 
-def _k_path_exists(
-    succ: list[set[int]], pred: list[int], u: int, v: int, k: int
-) -> bool:
-    """Exact DFS for a k-arc vertex-distinct path u -> v over set adjacency;
-    pred must hold the same arcs as succ, reversed, as bitmask rows."""
+def _spread(reach: list[int], bit: int, via: int) -> None:
+    """OR via into every row of reach that has bit set."""
+    for x, row in enumerate(reach):
+        if row & bit:
+            reach[x] = row | via
+
+
+def _reach_masks(succ: list[int]) -> list[int]:
+    """reach[x]: the vertices x reaches over the rows succ, x included
+    (Warshall's closure on bitmask rows)."""
+    reach = [row | 1 << x for x, row in enumerate(succ)]
+    for m in range(len(reach)):
+        _spread(reach, 1 << m, reach[m])
+    return reach
+
+
+def _k_path_exists(succ: list[int], pred: list[int], u: int, v: int, k: int) -> bool:
+    """Exact DFS for a k-arc vertex-distinct path u -> v over bitmask rows;
+    pred must hold the same arcs as succ, reversed.
+
+    A backward BFS capped at k-1 levels gives near[j], the vertices within
+    j arcs of v.  The query fails at once unless u is within k arcs of v;
+    the DFS then enters only a vertex from which v is still within the
+    arcs left, and never v itself before the last arc.
+    """
     if u == v:
         return False
-    back = bfs(pred, 1 << v)
-    if back[u] > k:
+    ball = frontier = 1 << v
+    near = [ball]
+    for _ in range(k - 1):
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= pred[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~ball
+        ball |= frontier
+        near.append(ball)
+    if not succ[u] & ball:
         return False
-    visited = [False] * len(succ)
-    visited[u] = True
 
-    def walk(x: int, rem: int) -> bool:
-        for y in succ[x]:
-            if y == v:
-                if rem == 1:
-                    return True
-                continue
-            if rem == 1 or visited[y] or back[y] > rem - 1:
-                continue
-            visited[y] = True
-            if walk(y, rem - 1):
+    def walk(x: int, rem: int, used: int) -> bool:
+        if rem == 1:
+            return bool(succ[x] >> v & 1)
+        cand = succ[x] & near[rem - 1] & ~used
+        while cand:
+            low = cand & -cand
+            if walk(low.bit_length() - 1, rem - 1, used | low):
                 return True
-            visited[y] = False
+            cand ^= low
         return False
 
-    return walk(u, k)
+    return walk(u, k, 1 << u | 1 << v)
 
 
 def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
@@ -182,23 +207,28 @@ def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
     return violations
 
 
-def _joined_pairs(succ: list[set[int]], pred: list[set[int]], k: int):
+def _joined_pairs(succ: list[int], pred: list[int], reach: list[int], k: int):
     """Yield (a, b) for each unordered non-adjacent pair {u, v}, u < v in
     lexicographic order, that a k-arc path joins, oriented along the path
     (u -> v is tried first).
 
-    Lazy on purpose: adjacency is tested against the sets as they are when
-    the scan reaches a pair, so arcs the consumer adds between yields are
-    seen by the rest of the scan.
+    succ and pred are the successor and predecessor bitmask rows, reach the
+    reachability rows of _reach_masks.  A direction in which u cannot reach
+    v at all costs one bit test; only the others run the k-path query.
+
+    Lazy on purpose: adjacency and reachability are read from the rows as
+    they are when the scan reaches a pair, so arcs the consumer adds between
+    yields (keeping all three row lists current) are seen by the rest of
+    the scan.
     """
     n = len(succ)
     for u in range(n):
         for v in range(u + 1, n):
-            if v in succ[u] or u in succ[v]:
+            if succ[u] >> v & 1 or succ[v] >> u & 1:
                 continue
-            if _k_path_exists(succ, pred, u, v, k):
+            if reach[u] >> v & 1 and _k_path_exists(succ, pred, u, v, k):
                 yield u, v
-            elif _k_path_exists(succ, pred, v, u, k):
+            elif reach[v] >> u & 1 and _k_path_exists(succ, pred, v, u, k):
                 yield v, u
 
 
@@ -211,6 +241,12 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
     two orientations).  Passes repeat until one full pass finds nothing, so
     the result is certified k-quasi-transitive.  Terminates because the arc
     count strictly grows and is bounded by n(n-1).
+
+    The arcs live in successor and predecessor bitmask rows.  Reachability
+    rows are kept exact as arcs are added (incremental transitive closure,
+    Italiano 1986): a new arc a -> b that a could not already use to reach
+    b gives every vertex that reaches a all that b reaches.  Pairs that
+    cannot reach each other are then skipped with one bit test each.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -219,16 +255,22 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
     _require_enumerable(d.n)
     rng = random.Random(seed)
     succ, pred = _arc_sets(d)
+    reach = _reach_masks(succ)
     while True:
         added = False
-        for a, b in _joined_pairs(succ, pred, k):
+        for a, b in _joined_pairs(succ, pred, reach, k):
             if rule == RANDOM and rng.random() >= 0.5:
                 a, b = b, a
-            succ[a].add(b)
+            succ[a] |= 1 << b
             pred[b] |= 1 << a
+            if not reach[a] >> b & 1:
+                _spread(reach, 1 << a, reach[b])
             added = True
         if not added:
-            return Digraph(d.n, tuple(tuple(sorted(row)) for row in succ))
+            vertices = range(d.n)
+            return Digraph(
+                d.n, tuple(tuple([y for y in vertices if row >> y & 1]) for row in succ)
+            )
 
 
 def random_qt(cfg: GenConfig) -> Digraph:
@@ -254,4 +296,5 @@ def certify_qt(d: Digraph, k: int) -> bool:
     if k < 2:
         raise ValueError("k must be >= 2")
     _require_enumerable(d.n)
-    return next(_joined_pairs(*_arc_sets(d), k), None) is None
+    succ, pred = _arc_sets(d)
+    return next(_joined_pairs(succ, pred, _reach_masks(succ), k), None) is None

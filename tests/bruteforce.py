@@ -3,14 +3,18 @@
 Nothing here shares algorithmic code with the library: distances come from
 Floyd-Warshall instead of BFS, components from a reachability matrix instead
 of Tarjan, path/violation enumeration from raw vertex permutations, kernels
-from a full power-set scan.  Slow on purpose; keep n small.
+from a full power-set scan, the closure from a replayed pair scan that asks
+the permutation scan which pairs a k-arc path joins.  Slow on purpose; keep
+n small.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
-from qk import INF, Digraph
+from qk import INF, Digraph, build
+from qk.qt import RANDOM
 
 
 def floyd_distances(d: Digraph) -> list[list[float]]:
@@ -70,6 +74,38 @@ def sequence_violations(d: Digraph, k: int) -> list[tuple[int, ...]]:
         for p in sequence_paths(d, k)
         if not d.has_arc(p[0], p[-1]) and not d.has_arc(p[-1], p[0])
     ]
+
+
+def scan_closure(d: Digraph, k: int, rule: str, seed: int) -> Digraph:
+    """The k-quasi-transitive closure by the library's documented scan:
+    unordered non-adjacent pairs u < v in lexicographic order, u -> v tried
+    before v -> u, adjacency and paths read from the arcs as they are when
+    the scan reaches the pair, a random.Random(seed) coin per added arc
+    under RANDOM, passes until one adds nothing."""
+    rng = random.Random(seed)
+    arcs = set(d.arcs())
+    ends: set[tuple[int, int]] | None = None
+    while True:
+        added = False
+        for u in range(d.n):
+            for v in range(u + 1, d.n):
+                if (u, v) in arcs or (v, u) in arcs:
+                    continue
+                if ends is None:
+                    ends = {(p[0], p[-1]) for p in sequence_paths(build(d.n, arcs), k)}
+                if (u, v) in ends:
+                    a, b = u, v
+                elif (v, u) in ends:
+                    a, b = v, u
+                else:
+                    continue
+                if rule == RANDOM and rng.random() >= 0.5:
+                    a, b = b, a
+                arcs.add((a, b))
+                ends = None
+                added = True
+        if not added:
+            return build(d.n, arcs)
 
 
 def is_kernel(d: Digraph, s: tuple[int, ...], k: int, l: int) -> bool:

@@ -282,6 +282,18 @@ class TestHunt:
         err = capsys.readouterr().err
         assert "n_min=4, n_max=3" in err
 
+    def test_small_orders(self, capsys):
+        code, doc = run_json(capsys, "hunt", "--k", "2", "--n-min", "1", "--n-max", "3",
+                             "--trials", "20")
+        r = doc["result"]
+        hits = r["counterexamples"]
+        assert code == (2 if hits else 0)
+        assert r["trials"] == 20 and r["n_max"] == 3
+        assert r["kernels_found"] + len(hits) == 20
+        assert sum(r["size_histogram"].values()) == r["kernels_found"]
+        assert all(1 <= int(size) <= 3 for size in r["size_histogram"])
+        assert all(1 <= hit["n"] <= 3 for hit in hits)
+
 
 class TestLemmas:
     def test_empty_k_list(self, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -10,14 +11,16 @@ from hypothesis import strategies as st
 
 import bruteforce
 from instances import chorded_path, complete, cycle, d4, long_tournament, path
-from qk import InstanceTooLarge, build, reverse
+from qk import INF, InstanceTooLarge, build, reverse
 from qk import qt
+from qk.edgelist import emit
 from qk.qt import (
     FORWARD,
     RANDOM,
     GenConfig,
     certify_qt,
     is_k_quasi_transitive,
+    mix_seed,
     qt_closure,
     random_qt,
 )
@@ -52,6 +55,19 @@ class TestHasKPath:
         for u in range(g.n):
             for v in range(g.n):
                 assert has_k_path(g, u, v, k) == ((u, v) in expected)
+
+
+class TestReach:
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_floyd_distances(self, data):
+        from strategies import digraphs
+
+        g = data.draw(digraphs(max_n=9))
+        dist = bruteforce.floyd_distances(g)
+        assert qt._reach_masks(list(g.masks)) == [
+            sum(1 << y for y in range(g.n) if row[y] != INF) for row in dist
+        ]
 
 
 class TestRecognition:
@@ -168,7 +184,39 @@ class TestPrunedRecognition:
         assert fired
 
 
+# SHA-256 of the edge lists of 150 seeded random_qt digraphs per k (orders
+# 1..15, RANDOM and FORWARD).  Any change to the pair scan order, the
+# adjacency the scan sees, the coin flips or the k-path query shows here.
+# Recorded before the reachability screen; never re-record in passing.
+CLOSURE_DIGESTS = {
+    2: "6820503f0864980aa3f05da6ce72624fbc1abca0cd490db84303c27933dec560",
+    3: "fb155fc080f3d7f4633197a4741f78237be1c030193c480fa831ccd552c1a9b9",
+    4: "a9b237a65f8443fa8bcc8d499abd2eb5efa6e15ac853a087b67f823db7d9e94f",
+    5: "334eae6c6df1fa3b69689ae501720ffd75ca99ab238667757965191ebd661e87",
+    6: "a48bae090d863ebc08363ffd0f8d8b17986e8f66267655f7aec3a967eaed8624",
+}
+
+
+def _closure_corpus_digest(k: int) -> str:
+    h = hashlib.sha256()
+    for i in range(150):
+        rng = random.Random(mix_seed(k, i))
+        cfg = GenConfig(
+            n=1 + i % 15,
+            k=k,
+            arc_prob=rng.uniform(0.05, 0.5),
+            seed=rng.getrandbits(64),
+            orientation_rule=(RANDOM, FORWARD)[i // 15 % 2],
+        )
+        h.update(emit(random_qt(cfg)).encode("ascii"))
+    return h.hexdigest()
+
+
 class TestClosure:
+    @pytest.mark.parametrize("k", sorted(CLOSURE_DIGESTS))
+    def test_closure_pinned(self, k):
+        assert _closure_corpus_digest(k) == CLOSURE_DIGESTS[k]
+
     def test_forward_path_example(self):
         g = qt_closure(path(3), 2, rule=FORWARD)
         assert sorted(g.arcs()) == [(0, 1), (0, 2), (1, 2)]
@@ -204,6 +252,17 @@ class TestClosure:
         closed = qt_closure(g, k, rule=RANDOM, seed=seed)
         assert set(g.arcs()) <= set(closed.arcs())
         assert is_k_quasi_transitive(closed, k) == []
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scan_oracle(self, data):
+        from strategies import digraphs
+
+        g = data.draw(digraphs(max_n=7))
+        k = data.draw(st.integers(min_value=2, max_value=4))
+        rule = data.draw(st.sampled_from([RANDOM, FORWARD]))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32))
+        assert qt_closure(g, k, rule, seed) == bruteforce.scan_closure(g, k, rule, seed)
 
 
 class TestRandomQt:
