@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import islice
 
 from . import __version__
 from .checks import run_suite, summarize
@@ -41,16 +42,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+_SCALARS = frozenset({int, str, bool, type(None)})
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def _jsonable(x):
-    """Recursively convert report objects for json.dumps: dataclasses to
+    """Recursively convert report objects for JSON: dataclasses to
     dicts (dropping wall-clock fields), infinities to null, tuples to
-    lists, mapping keys to strings."""
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {
-            f.name: _jsonable(getattr(x, f.name))
-            for f in dataclasses.fields(x)
-            if f.name != "elapsed"
-        }
+    lists, mapping keys to strings.  The common types are matched exactly
+    and each dataclass's field names are looked up once per class."""
+    t = type(x)
+    if t in _SCALARS:
+        return x
+    if t is list or t is tuple:
+        return [_jsonable(v) for v in x]
+    names = _FIELD_NAMES.get(t)
+    if names is None and dataclasses.is_dataclass(x) and not isinstance(x, type):
+        names = _FIELD_NAMES[t] = tuple(
+            f.name for f in dataclasses.fields(x) if f.name != "elapsed"
+        )
+    if names is not None:
+        return {name: _jsonable(getattr(x, name)) for name in names}
     if isinstance(x, float):
         if math.isinf(x) or math.isnan(x):
             return None
@@ -70,7 +83,12 @@ def _emit(args, command: str, digest, result, human: str) -> None:
             "input_digest": digest,
             "result": _jsonable(result),
         }
-        print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
+        # One write per encoder chunk is slow and one string costs the whole
+        # document in memory, so write batches; no chunk is ever empty.
+        chunks = _ENCODER.iterencode(doc)
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     elif human:
         print(human)
 
@@ -83,17 +101,20 @@ def _cmd_check(args) -> int:
     d = read_digraph(args.file)
     violations = is_k_quasi_transitive(d, args.k)
     ok = not violations
-    lines = [
-        f"path {'->'.join(map(str, v.path))}: endpoints {v.u} and {v.v} non-adjacent"
-        for v in violations
-    ]
-    lines.append(f"{args.k}-quasi-transitive: {'yes' if ok else f'no ({len(violations)} violations)'}")
+    human = ""
+    if not args.json:
+        lines = [
+            f"path {'->'.join(map(str, v.path))}: endpoints {v.u} and {v.v} non-adjacent"
+            for v in violations
+        ]
+        lines.append(f"{args.k}-quasi-transitive: {'yes' if ok else f'no ({len(violations)} violations)'}")
+        human = "\n".join(lines)
     _emit(
         args,
         "check",
         content_digest(d),
         {"k": args.k, "quasi_transitive": ok, "violations": violations},
-        "\n".join(lines),
+        human,
     )
     return 0 if ok else 1
 

@@ -38,15 +38,21 @@ class Digraph:
     """Immutable loop-free digraph with sorted adjacency lists.
 
     Use :func:`build` to construct one with validation; the constructor
-    trusts its input.
+    trusts its input, including masks when a caller that has already built
+    the bitmask rows passes them along.
     """
 
     __slots__ = ("n", "adj", "_masks", "_dist", "_ecc", "_cond")
 
-    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(
+        self,
+        n: int,
+        adj: tuple[tuple[int, ...], ...],
+        masks: tuple[int, ...] | None = None,
+    ) -> None:
         self.n = n
         self.adj = adj
-        self._masks: tuple[int, ...] | None = None
+        self._masks = masks
         self._dist: tuple[tuple[float, ...], ...] | None = None
         self._ecc: tuple[float, ...] | None = None
         self._cond: Condensation | None = None

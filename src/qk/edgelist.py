@@ -14,12 +14,20 @@ import hashlib
 from .digraph import Digraph
 from .errors import EdgeListParseError
 
+# Largest vertex count a header may announce, checked before any row is
+# allocated.  A bitmask row costs up to n bits, so n rows can cost n*n/8
+# bytes (2 MB here) however short the file is.
+MAX_VERTICES = 1 << 12
+
 
 def emit(d: Digraph) -> str:
     """Canonical edge-list text for d."""
-    lines = [f"{d.n} {d.arc_count}"]
-    lines.extend(f"{u} {v}" for u in range(d.n) for v in d.adj[u])
-    return "\n".join(lines) + "\n"
+    out = [f"{d.n} {d.arc_count}\n"]
+    for u, row in enumerate(d.adj):
+        if row:
+            head = f"{u} "
+            out.append(head + f"\n{head}".join(map(str, row)) + "\n")
+    return "".join(out)
 
 
 def content_digest(d: Digraph) -> str:
@@ -27,69 +35,79 @@ def content_digest(d: Digraph) -> str:
     return hashlib.sha256(emit(d).encode("ascii")).hexdigest()
 
 
-def _ints(tokens: list[str], line_no: int) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise EdgeListParseError(line_no, f"expected integers, got {' '.join(tokens)!r}")
-
-
 def parse(text: str) -> Digraph:
-    """Parse edge-list text into a Digraph.
+    """Parse edge-list text into a Digraph in one pass over its lines.
 
-    Raises EdgeListParseError (with a 1-based line number) on malformed
-    headers, bad tokens, out-of-range ids, loops, duplicate arcs, or an arc
-    count that disagrees with the header.
+    Raises EdgeListParseError (with a 1-based line number).  When a text
+    has several faults, the first of these wins: a bad line (field count,
+    non-integer, negative or oversized header, more arcs than announced),
+    then a missing header or too few arcs at the end, then the first
+    out-of-range id, loop or duplicate arc.
     """
-    header: tuple[int, int] | None = None
-    arcs: list[tuple[int, int, int]] = []
-    last_line = 0
+    n = m = -1  # until the header is read
+    rows: list[list[int]] = []
+    masks: list[int] = []
+    count = 0
+    fault: tuple[int, str] | None = None
+    line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = stripped.split()
         if len(tokens) != 2:
             raise EdgeListParseError(line_no, f"expected two fields, got {len(tokens)}")
-        a, b = _ints(tokens, line_no)
-        if header is None:
+        try:
+            a, b = map(int, tokens)
+        except ValueError:
+            raise EdgeListParseError(line_no, f"expected integers, got {' '.join(tokens)!r}")
+        if n < 0:
             if a < 0 or b < 0:
-                raise EdgeListParseError(line_no, f"negative header field in {stripped!r}")
-            header = (a, b)
+                raise EdgeListParseError(line_no, f"negative header field in {raw.strip()!r}")
+            if a > MAX_VERTICES:
+                raise EdgeListParseError(
+                    line_no, f"header announces {a} vertices, above the limit of {MAX_VERTICES}"
+                )
+            n, m = a, b
+            rows = [[] for _ in range(n)]
+            masks = [0] * n
             continue
-        if len(arcs) == header[1]:
-            raise EdgeListParseError(
-                line_no, f"more than the {header[1]} arcs announced in the header"
-            )
-        arcs.append((a, b, line_no))
-    if header is None:
-        raise EdgeListParseError(last_line + 1, "missing header line 'n m'")
-    n, m = header
-    if len(arcs) != m:
-        raise EdgeListParseError(
-            last_line + 1, f"header announced {m} arcs but file has {len(arcs)}"
-        )
-    seen = set()
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for u, v, line_no in arcs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListParseError(line_no, f"vertex out of range for n={n}: {u} {v}")
-        if u == v:
-            raise EdgeListParseError(line_no, f"loop arc ({u}, {v})")
-        if (u, v) in seen:
-            raise EdgeListParseError(line_no, f"duplicate arc ({u}, {v})")
-        seen.add((u, v))
-        rows[u].append(v)
-    return Digraph(n, tuple(tuple(sorted(row)) for row in rows))
+        if count == m:
+            raise EdgeListParseError(line_no, f"more than the {m} arcs announced in the header")
+        count += 1
+        if fault is not None:
+            continue
+        if not (0 <= a < n and 0 <= b < n):
+            fault = (line_no, f"vertex out of range for n={n}: {a} {b}")
+        elif a == b:
+            fault = (line_no, f"loop arc ({a}, {b})")
+        elif masks[a] >> b & 1:
+            fault = (line_no, f"duplicate arc ({a}, {b})")
+        else:
+            masks[a] |= 1 << b
+            rows[a].append(b)
+    if n < 0:
+        raise EdgeListParseError(line_no + 1, "missing header line 'n m'")
+    if count != m:
+        raise EdgeListParseError(line_no + 1, f"header announced {m} arcs but file has {count}")
+    if fault is not None:
+        raise EdgeListParseError(*fault)
+    return Digraph(n, tuple(tuple(sorted(row)) for row in rows), tuple(masks))
 
 
 def read_digraph(path: str) -> Digraph:
-    """Parse the file at path; parse errors are tagged with the file name."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    """Parse the file at path; parse errors are tagged with the file name.
+
+    The file must be ASCII: a non-ASCII byte is a parse error on its line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return parse(text)
+        return parse(data.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise EdgeListParseError(
+            line, f"non-ASCII byte 0x{data[exc.start]:02x}", source=path
+        ) from None
     except EdgeListParseError as exc:
         raise EdgeListParseError(exc.line, exc.message, source=path) from None
 

@@ -269,7 +269,9 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
         if not added:
             vertices = range(d.n)
             return Digraph(
-                d.n, tuple(tuple([y for y in vertices if row >> y & 1]) for row in succ)
+                d.n,
+                tuple(tuple([y for y in vertices if row >> y & 1]) for row in succ),
+                tuple(succ),
             )
 
 

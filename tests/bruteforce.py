@@ -4,8 +4,9 @@ Nothing here shares algorithmic code with the library: distances come from
 Floyd-Warshall instead of BFS, components from a reachability matrix instead
 of Tarjan, path/violation enumeration from raw vertex permutations, kernels
 from a full power-set scan, the closure from a replayed pair scan that asks
-the permutation scan which pairs a k-arc path joins.  Slow on purpose; keep
-n small.
+the permutation scan which pairs a k-arc path joins, and edge-list parsing
+from a two-pass reader that collects every arc before checking any.  Slow
+on purpose; keep n small.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 from itertools import combinations, permutations
 
 from qk import INF, Digraph, build
+from qk.errors import EdgeListParseError
 from qk.qt import RANDOM
 
 
@@ -134,3 +136,56 @@ def powerset_kernel(d: Digraph, k: int, l: int) -> tuple[int, ...] | None:
 def r_kings(d: Digraph, r: int) -> tuple[int, ...]:
     dist = floyd_distances(d)
     return tuple(v for v in range(d.n) if all(dv <= r for dv in dist[v]))
+
+
+def _ints(tokens: list[str], line_no: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise EdgeListParseError(line_no, f"expected integers, got {' '.join(tokens)!r}")
+
+
+def two_pass_parse(text: str) -> Digraph:
+    """Edge-list parse in two passes: scan every line and check the counts,
+    then check range, loop and duplicate arc by arc (no header bound)."""
+    header: tuple[int, int] | None = None
+    arcs: list[tuple[int, int, int]] = []
+    last_line = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        last_line = line_no
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(line_no, f"expected two fields, got {len(tokens)}")
+        a, b = _ints(tokens, line_no)
+        if header is None:
+            if a < 0 or b < 0:
+                raise EdgeListParseError(line_no, f"negative header field in {stripped!r}")
+            header = (a, b)
+            continue
+        if len(arcs) == header[1]:
+            raise EdgeListParseError(
+                line_no, f"more than the {header[1]} arcs announced in the header"
+            )
+        arcs.append((a, b, line_no))
+    if header is None:
+        raise EdgeListParseError(last_line + 1, "missing header line 'n m'")
+    n, m = header
+    if len(arcs) != m:
+        raise EdgeListParseError(
+            last_line + 1, f"header announced {m} arcs but file has {len(arcs)}"
+        )
+    seen = set()
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v, line_no in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeListParseError(line_no, f"vertex out of range for n={n}: {u} {v}")
+        if u == v:
+            raise EdgeListParseError(line_no, f"loop arc ({u}, {v})")
+        if (u, v) in seen:
+            raise EdgeListParseError(line_no, f"duplicate arc ({u}, {v})")
+        seen.add((u, v))
+        rows[u].append(v)
+    return Digraph(n, tuple(tuple(sorted(row)) for row in rows))

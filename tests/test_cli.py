@@ -1,6 +1,8 @@
 """End-to-end command tests: exit statuses, report contents, JSON stability."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 import qk.cli
 import qk.kernels
 from qk.cli import main
-from qk.edgelist import content_digest, parse, write_digraph
+from qk.edgelist import MAX_VERTICES, content_digest, emit, parse, write_digraph
 from qk.kernels import Counterexample, recheck_counterexample, verify_kernel
 from qk.qt import certify_qt
 
@@ -330,6 +332,22 @@ class TestUsageAndErrors:
         assert code == 3
         assert "line 2" in err
 
+    def test_non_ascii_input_is_a_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "accent.edges"
+        p.write_bytes(b"2 1\n# caf\xc3\xa9\n0 1\n")
+        code = main(["check", str(p), "--k", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{p}: line 2: non-ASCII byte 0xc3" in err
+
+    def test_oversized_header_fails_fast(self, capsys, tmp_path):
+        p = tmp_path / "huge.edges"
+        p.write_text(f"{MAX_VERTICES + 1} 0\n")
+        code = main(["kings", str(p), "--k", "2", "--fast"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{p}: line 1: header announces {MAX_VERTICES + 1} vertices" in err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
@@ -374,6 +392,64 @@ class TestJsonStability:
         _, doc_a = run_json(capsys, "check", d4_file, "--k", "4")
         _, doc_b = run_json(capsys, "check", str(scrambled), "--k", "4")
         assert doc_a == doc_b
+
+
+
+def _er_text(n, p, seed):
+    """Seeded loop-free G(n, p) edge list, written without qk's emitter."""
+    rng = random.Random(seed)
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    return f"{n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+
+
+# SHA-256 of the exact --json stdout.  bench/reference.json hashes a
+# canonical re-serialisation of each document, so it cannot see indentation,
+# key order or the trailing newline; these pins can.  Any change here is an
+# output change: log it, never re-record in passing.
+RAW_JSON_PINS = {
+    "check-er32": (
+        ("check", "ER32", "--k", "3"), 1,
+        "c2dabb000aa266d93eeb1f420e7df6a595c40dd25cdfee5aaa94593bae034628",
+    ),
+    "census-lt40": (
+        ("kings", "LT40", "--k", "4", "--census"), 0,
+        "693d50092299c261be8de497edef0dd3c82d639ea788d9ffbcf59d2f1f82dfac",
+    ),
+    "construct-lt40": (
+        ("kernel", "LT40", "--k", "4", "--construct"), 0,
+        "903974f683c3a8fe773c85ceb880e8643db0636e78c066a802fd38982398ec1f",
+    ),
+    "hunt-hits": (
+        ("hunt", "--k", "2", "--indep", "5", "--absorb", "1", "--trials", "20",
+         "--n-max", "8", "--seed", "3"), 2,
+        "b2d7e27f680bbc673790fbb0b34efe4ef95a998d19933743f3ba1032a383b94c",
+    ),
+    "lemmas-small": (
+        ("lemmas", "--k-list", "2,3", "--kings-trials", "8", "--lemma-trials", "4"), 0,
+        "98655f631233ae1b972d32533ff42fb26df8bdb855cb4499b8110c511fa26a55",
+    ),
+}
+
+
+class TestRawJsonBytes:
+    @pytest.mark.parametrize("name", sorted(RAW_JSON_PINS))
+    def test_stdout_bytes_pinned(self, capsys, tmp_path, name):
+        files = {"ER32": _er_text(32, 0.12, 7), "LT40": emit(long_tournament(40))}
+        argv, expected_code, digest = RAW_JSON_PINS[name]
+        paths = {}
+        for label, text in files.items():
+            paths[label] = tmp_path / f"{label}.edges"
+            paths[label].write_text(text)
+        code = main([str(paths.get(a, a)) for a in argv] + ["--json"])
+        out = capsys.readouterr().out
+        assert code == expected_code
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_check_pin_has_many_violations(self, capsys, tmp_path):
+        p = tmp_path / "er.edges"
+        p.write_text(_er_text(32, 0.12, 7))
+        _, doc = run_json(capsys, "check", str(p), "--k", "3")
+        assert len(doc["result"]["violations"]) > 1000
 
 
 def test_installed_entry_point():

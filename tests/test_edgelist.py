@@ -3,11 +3,13 @@
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bruteforce import two_pass_parse
 from instances import chorded_path, cycle, d4, two_cycles
 from qk import build
-from qk.edgelist import content_digest, emit, parse, read_digraph, write_digraph
+from qk.edgelist import MAX_VERTICES, content_digest, emit, parse, read_digraph, write_digraph
 from qk.errors import EdgeListParseError
 from strategies import digraphs
 
@@ -63,6 +65,81 @@ class TestParse:
         assert exc.value.line == line
         assert fragment in exc.value.message
 
+    @pytest.mark.parametrize(
+        "text,line,fragment",
+        [
+            # a bad line anywhere beats an earlier range, loop or duplicate
+            ("3 2\n0 5\n1 2 3\n", 3, "two fields"),
+            ("3 2\n1 1\n0 x\n", 3, "integers"),
+            ("3 1\n0 0\n0 1\n", 3, "more than the 1 arcs"),
+            # too few arcs beats a duplicate
+            ("3 3\n0 1\n0 1\n", 4, "announced 3 arcs but file has 2"),
+            # among arc faults the first line wins, whatever its kind
+            ("3 3\n0 1\n0 1\n2 2\n", 3, "duplicate"),
+            ("3 3\n2 2\n0 1\n0 1\n", 2, "loop"),
+            ("3 3\n0 1\n0 1\n0 9\n", 3, "duplicate"),
+        ],
+    )
+    def test_competing_faults(self, text, line, fragment):
+        for parser in (parse, two_pass_parse):
+            with pytest.raises(EdgeListParseError) as exc:
+                parser(text)
+            assert exc.value.line == line
+            assert fragment in exc.value.message
+
+    def test_header_bound(self):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse(f"# big\n{MAX_VERTICES + 1} 0\n")
+        assert exc.value.line == 2
+        assert f"limit of {MAX_VERTICES}" in exc.value.message
+
+    def test_header_at_bound_is_accepted(self):
+        assert parse(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+
+    def test_masks_come_from_the_parser(self):
+        d = parse(emit(d4()))
+        assert d._masks == d4().masks
+
+
+_ODD_LINES = ["", "   ", "# note", "  # 1 2", "1", "1 2 3", "x 1", "1 y", "-3 1", "\t0\t1 "]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts that are mostly well formed, with every fault the
+    parser reports mixed in: field counts, non-integers, negative headers,
+    out-of-range ids, loops, duplicates, too many and too few arcs."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    body = [f"{u} {v}" for u, v in arcs]
+    faulty = [f"{n} 0", f"0 {n + 1}", "0 -1", f"{n - 1} {n - 1}", *body[:1]]
+    odd = st.sampled_from(_ODD_LINES + faulty)
+    for pos, line in draw(st.lists(st.tuples(st.integers(0, 8), odd), max_size=3)):
+        body.insert(pos % (len(body) + 1), line)
+    count = sum(1 for line in body if len(line.split()) == 2)
+    m = max(count + draw(st.sampled_from([0, 0, 0, 0, -1, 1])), 0)
+    header = draw(st.sampled_from([f"{n} {m}"] * 6 + [f"-{n + 1} {m}", ""]))
+    lead = draw(st.lists(st.sampled_from(["", "# c"]), max_size=2))
+    ending = draw(st.sampled_from(["\n", "", "\r\n"]))
+    return ending.join([*lead, header, *body]) + ending
+
+
+class TestParseAgainstTwoPassOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_same_digraph_or_same_error(self, text):
+        try:
+            expected = two_pass_parse(text)
+        except EdgeListParseError as exc:
+            with pytest.raises(EdgeListParseError) as got:
+                parse(text)
+            assert (got.value.line, got.value.message) == (exc.line, exc.message)
+            return
+        d = parse(text)
+        assert d == expected
+        assert d.masks == tuple(sum(1 << y for y in row) for row in d.adj)
+
 
 class TestDigest:
     def test_matches_sha256_of_canonical_text(self):
@@ -93,3 +170,16 @@ class TestFiles:
         assert "bad.edges" in str(exc.value)
         assert exc.value.line == 2
         assert exc.value.message == "loop arc (1, 1)"
+
+    @pytest.mark.parametrize(
+        "data,line",
+        [(b"# caf\xc3\xa9\n2 1\n0 1\n", 1), (b"2 1\r\n\r\n0 1 \xff\n", 3), (b"\xc3", 1)],
+    )
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path, data, line):
+        p = tmp_path / "accent.edges"
+        p.write_bytes(data)
+        with pytest.raises(EdgeListParseError) as exc:
+            read_digraph(str(p))
+        assert exc.value.source == str(p)
+        assert exc.value.line == line
+        assert exc.value.message.startswith("non-ASCII byte 0x")
