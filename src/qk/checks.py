@@ -583,18 +583,25 @@ def run_suite(
 ) -> list[CheckResult]:
     """Generate both corpora for each k and run every checker on its
     corpus: distance/path/degree/king facts on the screened depth corpus,
-    king-finding and kernel construction on the mixed-density corpus."""
-    results = []
-    for k in k_values:
+    king-finding and kernel construction on the mixed-density corpus.
+
+    Each k is one job of qk.fanout.fan_out, so the k values may run in
+    parallel worker processes; the results, and the error raised if a k
+    fails, are those of the serial loop over k_values.  The jobs keep the
+    order of k_values (not longest first), because fan_out raises the
+    error of the first failing job in that order."""
+    from .fanout import fan_out  # loaded on use: qk's start-up imports no more
+
+    def for_k(k: int) -> list[CheckResult]:
         lemmas = lemma_corpus(k, trials=lemma_trials, base_seed=base_seed)
         kings = kings_corpus(
             k, trials=kings_trials, n_max=kings_n_max, base_seed=base_seed
         )
-        for check_id in LEMMA_CHECKS:
-            results.append(run_checker(check_id, k, lemmas))
-        for check_id in KING_CHECKS:
-            results.append(run_checker(check_id, k, kings))
-    return results
+        return [run_checker(check_id, k, lemmas) for check_id in LEMMA_CHECKS] + [
+            run_checker(check_id, k, kings) for check_id in KING_CHECKS
+        ]
+
+    return [result for part in fan_out(for_k, k_values) for result in part]
 
 
 def summarize(results: list[CheckResult]) -> str:

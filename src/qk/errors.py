@@ -4,7 +4,21 @@ from __future__ import annotations
 
 
 class QkError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Errors pickle by their message and attributes, not by constructor
+    arguments (a subclass's __init__ takes its fields and builds the
+    message), so they cross process boundaries intact."""
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    err = cls.__new__(cls)
+    err.args = args
+    err.__dict__.update(state)
+    return err
 
 
 class LoopArc(QkError):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random as _random
+from collections import Counter
 from dataclasses import dataclass
 
 from .digraph import Digraph, build, distances_from, reverse
@@ -23,6 +24,9 @@ from .qt import GenConfig, certify_qt, mix_seed, random_qt
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
+
+# How many contiguous trial ranges hunt_conjecture hands to qk.fanout.
+HUNT_RANGES = 16
 
 
 @dataclass(frozen=True)
@@ -284,26 +288,38 @@ def hunt_conjecture(
     rr = (k + 1, k) if radii is None else (int(radii[0]), int(radii[1]))
     if rr[0] < 1 or rr[1] < 1:
         raise ValueError("kernel radii must be >= 1")
-    found = 0
-    hist: dict[int, int] = {}
-    hits: list[Counterexample] = []
-    for t in range(trials):
-        seed = mix_seed(base_seed, k, t)
-        rng = _random.Random(seed)
-        n = rng.randint(n_min, n_max)
-        p = min(1.0, rng.uniform(0.5, 2.5) / n)
-        d = random_qt(GenConfig(n=n, k=k, arc_prob=p, seed=rng.getrandbits(64)))
-        kernel = exhaustive_kernel_search(d, rr[0], rr[1], cap=n_max)
-        if kernel is None:
-            ce = Counterexample(
-                k=k, radii=rr, n=d.n, arcs=tuple(d.arcs()), trial=t, seed=seed
-            )
-            if not recheck_counterexample(ce):
-                raise AssertionError(f"hunt hit failed recheck: {ce}")
-            hits.append(ce)
-        else:
-            found += 1
-            hist[len(kernel)] = hist.get(len(kernel), 0) + 1
+    from .fanout import fan_out  # loaded on use: qk's start-up imports no more
+
+    def trial_range(span: tuple[int, int]):
+        found, hist, hits = 0, Counter(), []
+        for t in range(*span):
+            seed = mix_seed(base_seed, k, t)
+            rng = _random.Random(seed)
+            n = rng.randint(n_min, n_max)
+            p = min(1.0, rng.uniform(0.5, 2.5) / n)
+            d = random_qt(GenConfig(n=n, k=k, arc_prob=p, seed=rng.getrandbits(64)))
+            kernel = exhaustive_kernel_search(d, rr[0], rr[1], cap=n_max)
+            if kernel is None:
+                ce = Counterexample(
+                    k=k, radii=rr, n=d.n, arcs=tuple(d.arcs()), trial=t, seed=seed
+                )
+                if not recheck_counterexample(ce):
+                    raise AssertionError(f"hunt hit failed recheck: {ce}")
+                hits.append(ce)
+            else:
+                found += 1
+                hist[len(kernel)] += 1
+        return found, hist, hits
+
+    # Contiguous trial ranges, merged in trial order.  There are more ranges
+    # than CPUs, so a worker whose trials came cheap takes another range.
+    parts = max(1, min(trials, HUNT_RANGES))
+    bounds = [trials * i // parts for i in range(parts + 1)]
+    found, hist, hits = 0, Counter(), []
+    for part_found, part_hist, part_hits in fan_out(trial_range, zip(bounds, bounds[1:])):
+        found += part_found
+        hist.update(part_hist)
+        hits += part_hits
     return HuntLedger(
         k=k,
         radii=rr,

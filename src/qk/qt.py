@@ -125,9 +125,11 @@ def _k_path_exists(succ: list[int], pred: list[int], u: int, v: int, k: int) -> 
     pred must hold the same arcs as succ, reversed.
 
     A backward BFS capped at k-1 levels gives near[j], the vertices within
-    j arcs of v.  The query fails at once unless u is within k arcs of v;
-    the DFS then enters only a vertex from which v is still within the
-    arcs left, and never v itself before the last arc.
+    j arcs of v.  The query fails at once unless u is within k arcs of v,
+    and holds at once when u is exactly k arcs from v, since a shortest
+    path repeats no vertex.  Otherwise the DFS enters only a vertex from
+    which v is still within the arcs left, and never v itself before the
+    last arc; with two arcs left, one mask test settles both.
     """
     if u == v:
         return False
@@ -144,10 +146,13 @@ def _k_path_exists(succ: list[int], pred: list[int], u: int, v: int, k: int) -> 
         near.append(ball)
     if not succ[u] & ball:
         return False
+    if not ball >> u & 1:
+        return True
+    into_v = pred[v]
 
     def walk(x: int, rem: int, used: int) -> bool:
-        if rem == 1:
-            return bool(succ[x] >> v & 1)
+        if rem == 2:
+            return bool(succ[x] & into_v & ~used)
         cand = succ[x] & near[rem - 1] & ~used
         while cand:
             low = cand & -cand
