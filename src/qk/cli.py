@@ -19,7 +19,7 @@ from itertools import islice
 
 from . import __version__
 from .checks import run_suite, summarize
-from .edgelist import content_digest, read_digraph, write_digraph
+from .edgelist import MAX_VERTICES, content_digest, read_digraph, write_digraph
 from .errors import EdgeListParseError, NotQuasiTransitiveInput, QkError
 from .kernels import (
     construct_kplus2_kernel,
@@ -291,13 +291,17 @@ def _cmd_lemmas(args) -> int:
 
 
 def _k_value(text: str) -> int:
-    """argparse type of --k: an integer >= 2."""
+    """argparse type of --k: an integer from 2 to MAX_VERTICES.  No distance
+    in a file's digraph exceeds MAX_VERTICES - 1, and `kings --census`
+    writes one king list per radius up to k + 2."""
     try:
         k = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if k < 2:
         raise argparse.ArgumentTypeError(f"k must be >= 2, got {k}")
+    if k > MAX_VERTICES:
+        raise argparse.ArgumentTypeError(f"k must be <= {MAX_VERTICES}, got {k}")
     return k
 
 

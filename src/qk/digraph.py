@@ -1,19 +1,19 @@
 """Core digraph representation, strong components and BFS distances.
 
-Vertices are dense integer ids 0..n-1.  Digraphs are loop-free, have no
-repeated arc in the same direction (opposite arcs forming a digon are fine)
-and keep every out-neighbor list sorted ascending, which makes equality,
-serialization and traversal order canonical.
+Vertices are dense integer ids 0..n-1.  Digraphs are loop-free and have no
+repeated arc in the same direction (opposite arcs forming a digon are fine).
 
-Distances come from one bit-parallel BFS over bitmask rows: row x is a
-Python int with bit y set for each arc x -> y, and a BFS level is the OR of
-its frontier's rows, so a dense row costs one big-int operation rather than
-one step per arc.
+A Digraph stores its arcs once, as successor bitmask rows: row x is a
+Python int with bit y set for each arc x -> y.  Equality, hashing, degree
+counts and arc tests read the rows, and distances come from one
+bit-parallel BFS over them: a BFS level is the OR of its frontier's rows,
+so a dense row costs one big-int operation rather than one step per arc.
 
-A Digraph is immutable, so it computes each of these at most once, on
-first use, and keeps it:
-- `masks`, the bitmask rows, which are also its arc index for `has_arc`
-  and `adjacent`;
+A Digraph is immutable, so it derives each of these from `masks` at most
+once, on first use, and keeps it:
+- `adj`, the out-neighbours of each vertex as an ascending tuple, which
+  makes traversal and serialization order canonical;
+- `pred`, the predecessor bitmask rows;
 - `dist`, the all-pairs distance rows (`distance_matrix`);
 - `ecc`, the out-eccentricities, one BFS per vertex; each row is dropped
   as soon as its maximum is taken, so `ecc` never holds the n x n matrix;
@@ -35,34 +35,49 @@ INF = math.inf
 
 
 class Digraph:
-    """Immutable loop-free digraph with sorted adjacency lists.
+    """Immutable loop-free digraph stored as successor bitmask rows.
 
     Use :func:`build` to construct one with validation; the constructor
-    trusts its input, including masks when a caller that has already built
-    the bitmask rows passes them along.
+    trusts its rows: masks[x] has no bit at x or at n and above.
     """
 
-    __slots__ = ("n", "adj", "_masks", "_dist", "_ecc", "_cond")
+    __slots__ = ("n", "masks", "_adj", "_pred", "_dist", "_ecc", "_cond")
 
-    def __init__(
-        self,
-        n: int,
-        adj: tuple[tuple[int, ...], ...],
-        masks: tuple[int, ...] | None = None,
-    ) -> None:
+    def __init__(self, n: int, masks: tuple[int, ...]) -> None:
         self.n = n
-        self.adj = adj
-        self._masks = masks
+        self.masks = masks
+        self._adj: tuple[tuple[int, ...], ...] | None = None
+        self._pred: tuple[int, ...] | None = None
         self._dist: tuple[tuple[float, ...], ...] | None = None
         self._ecc: tuple[float, ...] | None = None
         self._cond: Condensation | None = None
 
     @property
-    def masks(self) -> tuple[int, ...]:
-        """Bitmask rows: bit y of masks[x] is set iff x -> y is an arc."""
-        if self._masks is None:
-            self._masks = tuple(sum(1 << y for y in row) for row in self.adj)
-        return self._masks
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Out-neighbours of each vertex, ascending."""
+        if self._adj is None:
+            adj = []
+            for row in self.masks:
+                out = []
+                while row:
+                    low = row & -row
+                    out.append(low.bit_length() - 1)
+                    row ^= low
+                adj.append(tuple(out))
+            self._adj = tuple(adj)
+        return self._adj
+
+    @property
+    def pred(self) -> tuple[int, ...]:
+        """Predecessor rows: bit x of pred[y] is set iff x -> y is an arc."""
+        if self._pred is None:
+            pred = [0] * self.n
+            for x, row in enumerate(self.adj):
+                bit = 1 << x
+                for y in row:
+                    pred[y] |= bit
+            self._pred = tuple(pred)
+        return self._pred
 
     @property
     def dist(self) -> tuple[tuple[float, ...], ...]:
@@ -89,7 +104,7 @@ class Digraph:
     # -- queries ------------------------------------------------------------
 
     def out_degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def has_arc(self, u: int, v: int) -> bool:
         return (self.masks[u] >> v) & 1 == 1
@@ -101,14 +116,14 @@ class Digraph:
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs as ordered pairs, sorted lexicographically."""
-        return [(u, v) for u in range(self.n) for v in self.adj[u]]
+        return [(u, v) for u, row in enumerate(self.adj) for v in row]
 
     @property
     def arc_count(self) -> int:
-        return sum(len(row) for row in self.adj)
+        return sum(row.bit_count() for row in self.masks)
 
     def max_out_degree(self) -> int:
-        return max((len(row) for row in self.adj), default=0)
+        return max((row.bit_count() for row in self.masks), default=0)
 
     # -- dunder -------------------------------------------------------------
 
@@ -116,26 +131,25 @@ class Digraph:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.adj == other.adj
+            and self.masks == other.masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.arc_count})"
 
 
 def build(n: int, arc_list) -> Digraph:
-    """Validate and canonicalize an arc list into a Digraph.
+    """Validate an arc list into a Digraph.
 
     Rejects loops, duplicate arcs and out-of-range endpoints.  The input
-    order of arcs is irrelevant; adjacency lists come out sorted.
+    order of arcs is irrelevant.
     """
     if n < 0:
         raise ValueError("vertex count must be >= 0")
-    seen: set[tuple[int, int]] = set()
-    rows: list[list[int]] = [[] for _ in range(n)]
+    masks = [0] * n
     for u, v in arc_list:
         if not (0 <= u < n):
             raise VertexOutOfRange(u, n)
@@ -143,20 +157,15 @@ def build(n: int, arc_list) -> Digraph:
             raise VertexOutOfRange(v, n)
         if u == v:
             raise LoopArc(u)
-        if (u, v) in seen:
+        if masks[u] >> v & 1:
             raise DuplicateArc(u, v)
-        seen.add((u, v))
-        rows[u].append(v)
-    return Digraph(n, tuple(tuple(sorted(row)) for row in rows))
+        masks[u] |= 1 << v
+    return Digraph(n, tuple(masks))
 
 
 def reverse(d: Digraph) -> Digraph:
     """The digraph with every arc reversed (an involution)."""
-    rows: list[list[int]] = [[] for _ in range(d.n)]
-    for u in range(d.n):
-        for v in d.adj[u]:
-            rows[v].append(u)
-    return Digraph(d.n, tuple(tuple(sorted(row)) for row in rows))
+    return Digraph(d.n, d.pred)
 
 
 def distances_from(d: Digraph, s: int) -> list[float]:
@@ -280,19 +289,21 @@ def strong_components(d: Digraph) -> Condensation:
     for idx, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = idx
-    dag_arcs: set[tuple[int, int]] = set()
-    for u in range(d.n):
+    dag = [0] * len(comps)
+    for u, row in enumerate(d.adj):
         cu = comp_of[u]
-        for v in d.adj[u]:
+        for v in row:
             cv = comp_of[v]
             if cu != cv:
-                dag_arcs.add((cu, cv))
-    dag = build(len(comps), sorted(dag_arcs))
-    has_in = {b for _, b in dag_arcs}
-    has_out = {a for a, _ in dag_arcs}
-    initial = frozenset(i for i in range(len(comps)) if i not in has_in)
-    terminal = frozenset(i for i in range(len(comps)) if i not in has_out)
-    return Condensation(tuple(comp_of), tuple(comps), dag, initial, terminal)
+                dag[cu] |= 1 << cv
+    has_in = 0
+    for row in dag:
+        has_in |= row
+    initial = frozenset(i for i in range(len(comps)) if not has_in >> i & 1)
+    terminal = frozenset(i for i, row in enumerate(dag) if not row)
+    return Condensation(
+        tuple(comp_of), tuple(comps), Digraph(len(comps), tuple(dag)), initial, terminal
+    )
 
 
 def induced(d: Digraph, s) -> tuple[Digraph, dict[int, int]]:

@@ -45,7 +45,6 @@ def parse(text: str) -> Digraph:
     out-of-range id, loop or duplicate arc.
     """
     n = m = -1  # until the header is read
-    rows: list[list[int]] = []
     masks: list[int] = []
     count = 0
     fault: tuple[int, str] | None = None
@@ -57,6 +56,10 @@ def parse(text: str) -> Digraph:
         if len(tokens) != 2:
             raise EdgeListParseError(line_no, f"expected two fields, got {len(tokens)}")
         try:
+            # a field reads -?[0-9]+; int() alone would also take '+1', '1_0'
+            # and non-ASCII digits
+            if "+" in raw or "_" in raw or not (tokens[0] + tokens[1]).isascii():
+                raise ValueError
             a, b = map(int, tokens)
         except ValueError:
             raise EdgeListParseError(line_no, f"expected integers, got {' '.join(tokens)!r}")
@@ -68,7 +71,6 @@ def parse(text: str) -> Digraph:
                     line_no, f"header announces {a} vertices, above the limit of {MAX_VERTICES}"
                 )
             n, m = a, b
-            rows = [[] for _ in range(n)]
             masks = [0] * n
             continue
         if count == m:
@@ -84,14 +86,13 @@ def parse(text: str) -> Digraph:
             fault = (line_no, f"duplicate arc ({a}, {b})")
         else:
             masks[a] |= 1 << b
-            rows[a].append(b)
     if n < 0:
         raise EdgeListParseError(line_no + 1, "missing header line 'n m'")
     if count != m:
         raise EdgeListParseError(line_no + 1, f"header announced {m} arcs but file has {count}")
     if fault is not None:
         raise EdgeListParseError(*fault)
-    return Digraph(n, tuple(tuple(sorted(row)) for row in rows), tuple(masks))
+    return Digraph(n, tuple(masks))
 
 
 def read_digraph(path: str) -> Digraph:

@@ -17,7 +17,7 @@ import random as _random
 from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import Digraph, build, distances_from, reverse
+from .digraph import Digraph, bfs, build, distances_from
 from .errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
 from .kings import max_degree_vertex
 from .qt import GenConfig, certify_qt, mix_seed, random_qt
@@ -54,14 +54,12 @@ class KernelCertificate:
         return VERIFIED if self.verified else REFUTED
 
 
-def verify_kernel(
-    d: Digraph, candidate, k: int, l: int, rev: Digraph | None = None
-) -> KernelCertificate:
+def verify_kernel(d: Digraph, candidate, k: int, l: int) -> KernelCertificate:
     """BFS-check that candidate is a (k, l)-kernel of d.
 
     Scans independence over ordered member pairs in sorted order, then
     absorbency over outside vertices in id order, so the reported witness
-    is deterministic.  rev is reverse(d) when the caller already holds it.
+    is deterministic.
     """
     if k < 1 or l < 1:
         raise ValueError("kernel radii must be >= 1")
@@ -78,10 +76,8 @@ def verify_kernel(
                 break
         if not independent:
             break
-    if rev is None:
-        rev = reverse(d)
-    # d(z, v) for all z at once, per member v
-    into = {v: distances_from(rev, v) for v in s}
+    # d(z, v) for all z at once, per member v: a BFS over the predecessor rows
+    into = {v: bfs(d.pred, 1 << v) for v in s}
     absorbent, abs_witness = True, None
     members = set(s)
     for z in range(d.n):
@@ -106,19 +102,19 @@ def construct_kplus2_kernel(d: Digraph, k: int) -> KernelCertificate:
     Takes one maximum out-degree vertex (smallest id on ties, degree
     measured within the component) from each initial strong component of
     the reversed digraph, and returns the certificate of that set (the
-    kernel is its candidate); those are the terminal components of d, as
-    reversal keeps the components and their numbering.  Failed verification
+    kernel is its candidate).  Those are the terminal components of d, as
+    reversal keeps the components and their numbering, and out-degree in
+    the reversed digraph is in-degree in d, read off `d.pred`.  Failed verification
     means the input was not k-quasi-transitive and raises
     NotQuasiTransitiveInput.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    rev = reverse(d)
     cond = d.cond
     s = tuple(
-        sorted(max_degree_vertex(rev, cond.components[idx]) for idx in cond.terminal)
+        sorted(max_degree_vertex(d.pred, cond.components[idx]) for idx in cond.terminal)
     )
-    cert = verify_kernel(d, s, k + 2, k + 1, rev=rev)
+    cert = verify_kernel(d, s, k + 2, k + 1)
     if not cert.verified:
         raise NotQuasiTransitiveInput(
             f"candidate {s} failed {cert.status} with witness {cert.witness}; "

@@ -29,16 +29,18 @@ def _threshold(k: int) -> int:
     return k if k % 2 == 0 else (k - 1) // 2
 
 
-def _component_out_degrees(d: Digraph, comp) -> dict[int, int]:
-    """Out-degree of each vertex of comp, counting only arcs into comp."""
-    members = set(comp)
-    return {v: len(members.intersection(d.adj[v])) for v in comp}
+def _component_out_degrees(rows, comp) -> dict[int, int]:
+    """Out-degree of each vertex of comp over the bitmask rows, counting
+    only arcs into comp."""
+    members = sum(1 << v for v in comp)
+    return {v: (rows[v] & members).bit_count() for v in comp}
 
 
-def max_degree_vertex(d: Digraph, comp) -> int:
-    """Smallest vertex of the non-empty vertex set comp whose out-degree,
-    counted inside comp, is maximum."""
-    degs = _component_out_degrees(d, comp)
+def max_degree_vertex(rows, comp) -> int:
+    """Smallest vertex of the non-empty vertex set comp whose out-degree
+    over the bitmask rows (`d.masks`, or `d.pred` for in-degree), counted
+    inside comp, is maximum."""
+    degs = _component_out_degrees(rows, comp)
     dmax = max(degs.values())
     return min(v for v, dv in degs.items() if dv == dmax)
 
@@ -55,7 +57,7 @@ def degree_threshold_vertices(d: Digraph, k: int) -> tuple[int, ...]:
     comp = d.cond.initial_component
     if comp is None:
         return ()
-    degs = _component_out_degrees(d, comp)
+    degs = _component_out_degrees(d.masks, comp)
     cutoff = max(degs.values()) - _threshold(k)
     return tuple(sorted(v for v, dv in degs.items() if dv > cutoff))
 
@@ -74,7 +76,7 @@ def find_kplus1_king_fast(d: Digraph, k: int) -> int | None:
     comp = d.cond.initial_component
     if comp is None:
         return None
-    king = max_degree_vertex(d, comp)
+    king = max_degree_vertex(d.masks, comp)
     if max(distances_from(d, king)) > k + 1:
         raise NotQuasiTransitiveInput(
             f"vertex {king} has out-eccentricity > {k + 1}; "
@@ -229,7 +231,7 @@ def census(d: Digraph, k: int, checked: bool = False) -> KingReport:
     fast: int | None = None
     rows: list[AuditRow] = []
     if comp is not None:
-        candidate = max_degree_vertex(d, comp)
+        candidate = max_degree_vertex(d.masks, comp)
         if ecc[candidate] <= k + 1:
             fast = candidate
         else:

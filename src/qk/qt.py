@@ -89,21 +89,6 @@ class GenConfig:
             raise ValueError(f"unknown orientation rule {self.orientation_rule!r}")
 
 
-def _pred_masks(d: Digraph) -> list[int]:
-    """Predecessor bitmask rows of d: bit u of pred[v] is set iff u -> v."""
-    pred = [0] * d.n
-    for u, row in enumerate(d.adj):
-        bit = 1 << u
-        for v in row:
-            pred[v] |= bit
-    return pred
-
-
-def _arc_sets(d: Digraph) -> tuple[list[int], list[int]]:
-    """Successor and predecessor bitmask rows of d, for callers that add arcs."""
-    return list(d.masks), _pred_masks(d)
-
-
 def _spread(reach: list[int], bit: int, via: int) -> None:
     """OR via into every row of reach that has bit set."""
     for x, row in enumerate(reach):
@@ -179,7 +164,7 @@ def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
     _require_enumerable(d.n)
     n = d.n
     succ = d.masks
-    pred = _pred_masks(d)
+    pred = d.pred
     everyone = (1 << n) - 1
     violations: list[QtViolation] = []
     pathbuf = [0] * (k + 1)
@@ -259,7 +244,7 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
         raise ValueError(f"unknown orientation rule {rule!r}")
     _require_enumerable(d.n)
     rng = random.Random(seed)
-    succ, pred = _arc_sets(d)
+    succ, pred = list(d.masks), list(d.pred)
     reach = _reach_masks(succ)
     while True:
         added = False
@@ -272,12 +257,7 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
                 _spread(reach, 1 << a, reach[b])
             added = True
         if not added:
-            vertices = range(d.n)
-            return Digraph(
-                d.n,
-                tuple(tuple([y for y in vertices if row >> y & 1]) for row in succ),
-                tuple(succ),
-            )
+            return Digraph(d.n, tuple(succ))
 
 
 def random_qt(cfg: GenConfig) -> Digraph:
@@ -303,5 +283,4 @@ def certify_qt(d: Digraph, k: int) -> bool:
     if k < 2:
         raise ValueError("k must be >= 2")
     _require_enumerable(d.n)
-    succ, pred = _arc_sets(d)
-    return next(_joined_pairs(succ, pred, _reach_masks(succ), k), None) is None
+    return next(_joined_pairs(d.masks, d.pred, _reach_masks(d.masks), k), None) is None

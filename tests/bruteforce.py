@@ -12,6 +12,7 @@ on purpose; keep n small.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, permutations
 
 from qk import INF, Digraph, build
@@ -138,11 +139,13 @@ def r_kings(d: Digraph, r: int) -> tuple[int, ...]:
     return tuple(v for v in range(d.n) if all(dv <= r for dv in dist[v]))
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _ints(tokens: list[str], line_no: int) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
+    if not all(_INTEGER.fullmatch(t) for t in tokens):
         raise EdgeListParseError(line_no, f"expected integers, got {' '.join(tokens)!r}")
+    return [int(t) for t in tokens]
 
 
 def two_pass_parse(text: str) -> Digraph:
@@ -178,7 +181,7 @@ def two_pass_parse(text: str) -> Digraph:
             last_line + 1, f"header announced {m} arcs but file has {len(arcs)}"
         )
     seen = set()
-    rows: list[list[int]] = [[] for _ in range(n)]
+    masks = [0] * n
     for u, v, line_no in arcs:
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(line_no, f"vertex out of range for n={n}: {u} {v}")
@@ -187,5 +190,5 @@ def two_pass_parse(text: str) -> Digraph:
         if (u, v) in seen:
             raise EdgeListParseError(line_no, f"duplicate arc ({u}, {v})")
         seen.add((u, v))
-        rows[u].append(v)
-    return Digraph(n, tuple(tuple(sorted(row)) for row in rows))
+        masks[u] |= 1 << v
+    return Digraph(n, tuple(masks))

@@ -11,6 +11,7 @@ import pytest
 import qk.cli
 import qk.kernels
 from qk.cli import main
+from qk.digraph import reverse
 from qk.edgelist import MAX_VERTICES, content_digest, emit, parse, write_digraph
 from qk.kernels import Counterexample, recheck_counterexample, verify_kernel
 from qk.qt import certify_qt
@@ -169,7 +170,8 @@ class TestKernel:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(qk.kernels, "reverse", counted("reverse", qk.kernels.reverse))
+        # kernels reads d.pred and imports no reverse; a reverse it called would be counted
+        monkeypatch.setattr(qk.kernels, "reverse", counted("reverse", reverse), raising=False)
         wrapped_verify = counted("verify", qk.kernels.verify_kernel)
         monkeypatch.setattr(qk.kernels, "verify_kernel", wrapped_verify)
         monkeypatch.setattr(qk.cli, "verify_kernel", wrapped_verify)
@@ -178,7 +180,7 @@ class TestKernel:
         write_digraph(str(p), g)
         code, doc = run_json(capsys, "kernel", str(p), "--k", "3", "--construct")
         assert code == 0
-        assert calls == {"reverse": 1, "verify": 1}
+        assert calls == {"reverse": 0, "verify": 1}
         kernel = tuple(doc["result"]["kernel"])
         cert = verify_kernel(g, kernel, 5, 4)
         assert doc["result"]["certificate"] == {
@@ -371,6 +373,21 @@ class TestUsageAndErrors:
             main(["kings", d4_file, "--k", "two"])
         assert exc.value.code == 3
         assert "invalid int value: 'two'" in capsys.readouterr().err
+
+    def test_k_above_the_vertex_limit_is_a_usage_error(self, capsys, tmp_path):
+        # --census writes one king list per radius up to k + 2, so an
+        # unbounded k on a 2-vertex file once wrote megabytes
+        p = tmp_path / "two.edges"
+        p.write_text("2 1\n0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["kings", str(p), "--census", "--k", "1000000"])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"k must be <= {MAX_VERTICES}, got 1000000" in captured.err
+        code, out = run(capsys, "kings", str(p), "--census", "--k", str(MAX_VERTICES))
+        assert code == 0
+        assert f"\n{MAX_VERTICES + 2}-kings: {{0}}\n" in out
 
 
 class TestJsonStability:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from instances import complete, cycle, d4, long_tournament, path, two_cycles
@@ -22,6 +23,8 @@ from qk import (
     strong_components,
 )
 from qk.digraph import bfs
+from qk.edgelist import emit, parse
+from qk.qt import FORWARD, RANDOM, GenConfig, qt_closure, random_qt
 from strategies import digraphs
 
 
@@ -248,3 +251,45 @@ class TestInduced:
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
             induced(d4(), {0, 7})
+
+
+def _producers(g, k, seed):
+    """Every way the library makes a Digraph, each applied once to g."""
+    return {
+        "build": build(g.n, g.arcs()),
+        "parse(emit)": parse(emit(g)),
+        "reverse": reverse(g),
+        "reverse(reverse)": reverse(reverse(g)),
+        "qt_closure": qt_closure(g, k, RANDOM, seed),
+        "random_qt": random_qt(GenConfig(n=g.n, k=k, arc_prob=0.3, seed=seed, orientation_rule=FORWARD)),
+        "cond.dag": g.cond.dag,
+    }
+
+
+class TestDerivedViews:
+    """A Digraph stores only its bitmask rows; every other view is derived
+    from them, and must say the same as the rows whoever made the digraph."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(max_n=7), st.integers(2, 4), st.integers(0, 2**32))
+    def test_views_agree_with_the_rows(self, g, k, seed):
+        made = _producers(g, k, seed)
+        for name, d in made.items():
+            n, masks = d.n, d.masks
+            assert len(masks) == n and len(d.adj) == n, name
+            for x in range(n):
+                assert not masks[x] >> n and not masks[x] >> x & 1, name
+                assert list(d.adj[x]) == [y for y in range(n) if masks[x] >> y & 1], name
+            pred = [0] * n
+            for u, v in d.arcs():
+                pred[v] |= 1 << u
+            assert d.pred == tuple(pred), name
+            assert [d.out_degree(x) for x in range(n)] == [len(row) for row in d.adj], name
+            assert d.arc_count == len(d.arcs()), name
+            assert d.max_out_degree() == max((len(row) for row in d.adj), default=0), name
+        for a in made.values():
+            for b in made.values():
+                same_arcs = (a.n, set(a.arcs())) == (b.n, set(b.arcs()))
+                assert (a == b) == same_arcs
+                if same_arcs:
+                    assert hash(a) == hash(b)

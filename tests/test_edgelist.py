@@ -51,6 +51,12 @@ class TestParse:
             ("a b\n", 1, "integers"),
             ("-1 0\n", 1, "negative header"),
             ("3 1\n0 x\n", 2, "integers"),
+            # a field reads -?[0-9]+, which int() alone would widen
+            ("+1 0\n", 1, "integers"),
+            ("3 1\n0 +1\n", 2, "integers"),
+            ("3 1\n1_0 1\n", 2, "integers"),
+            ("0_3 +1\n0 1_2\n", 1, "integers"),
+            ("3 1\n0 \u0661\n", 2, "integers"),
             ("3 1\n0 5\n", 2, "out of range"),
             ("3 1\n0 -1\n", 2, "out of range"),
             ("3 1\n1 1\n", 2, "loop"),
@@ -98,10 +104,13 @@ class TestParse:
 
     def test_masks_come_from_the_parser(self):
         d = parse(emit(d4()))
-        assert d._masks == d4().masks
+        assert d.masks == d4().masks
 
 
-_ODD_LINES = ["", "   ", "# note", "  # 1 2", "1", "1 2 3", "x 1", "1 y", "-3 1", "\t0\t1 "]
+_ODD_LINES = [
+    "", "   ", "# note", "  # 1 2", "1", "1 2 3", "x 1", "1 y", "-3 1", "\t0\t1 ",
+    "+0 1", "0 1_0", "0 \u0661",
+]
 
 
 @st.composite

@@ -118,7 +118,7 @@ class TestFastFinder:
         d = build(6, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 3), (0, 4), (0, 5)])
         assert d.max_out_degree() == d.out_degree(0) == 4
         assert d.cond.initial_component == (0, 1, 2)
-        assert max_degree_vertex(d, (0, 1, 2)) == 1
+        assert max_degree_vertex(d.masks, (0, 1, 2)) == 1
         assert find_kplus1_king_fast(d, 4) == 1
         assert census(d, 4, checked=True).fast_king == 1
 

@@ -27,7 +27,7 @@ from qk.qt import (
 
 
 def has_k_path(g, u, v, k):
-    return qt._k_path_exists(*qt._arc_sets(g), u, v, k)
+    return qt._k_path_exists(g.masks, g.pred, u, v, k)
 
 
 class TestHasKPath:
