@@ -70,8 +70,6 @@ def _jsonable(x):
         return int(x) if x.is_integer() else x
     if isinstance(x, dict):
         return {str(key): _jsonable(value) for key, value in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
     return x
 
 
@@ -161,13 +159,14 @@ def _cmd_kings(args) -> int:
     return 0
 
 
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """Comma- or space-separated integers; what names them in the error."""
+def _parse_ints(text: str, what: str, item) -> tuple[int, ...]:
+    """Comma- or space-separated integers, each read by the argparse type
+    item; what names them in the error."""
     text = text.strip()
     try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise QkError(f"cannot parse {what} {text!r}")
+        return tuple(map(item, text.replace(",", " ").split()))
+    except argparse.ArgumentTypeError as exc:
+        raise QkError(f"cannot parse {what} {text!r}: {exc}")
 
 
 def _cmd_kernel(args) -> int:
@@ -187,7 +186,7 @@ def _cmd_kernel(args) -> int:
     indep = args.indep if args.indep is not None else args.k + 1
     absorb = args.absorb if args.absorb is not None else args.k
     if args.verify is not None:
-        cert = verify_kernel(d, _parse_ints(args.verify, "vertex set"), indep, absorb)
+        cert = verify_kernel(d, _parse_ints(args.verify, "vertex set", _int_value), indep, absorb)
         witness = "" if cert.verified else f" witness {cert.witness}"
         _emit(
             args,
@@ -255,7 +254,9 @@ def _cmd_hunt(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    k_values = _parse_ints(args.k_list, "k list")
+    k_values = _parse_ints(args.k_list, "k list", _k_value)
+    if not k_values:
+        raise QkError("k list is empty")
     kings_trials = args.trials if args.trials is not None else args.kings_trials
     lemma_trials = args.trials if args.trials is not None else args.lemma_trials
     results = run_suite(
@@ -290,19 +291,37 @@ def _cmd_lemmas(args) -> int:
     return verdict
 
 
-def _k_value(text: str) -> int:
-    """argparse type of --k: an integer from 2 to MAX_VERTICES.  No distance
-    in a file's digraph exceeds MAX_VERTICES - 1, and `kings --census`
-    writes one king list per radius up to k + 2."""
-    try:
-        k = int(text)
-    except ValueError:
+def _int_value(text: str) -> int:
+    """argparse type of every integer option: an optional '-' and ASCII
+    digits (-?[0-9]+), as in edge-list files.  int() alone would also take
+    '+3', '1_0', spaces and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _k_value(text: str) -> int:
+    """argparse type of --k (and each --k-list value): an integer from 2 to
+    MAX_VERTICES.  No distance in a file's digraph exceeds MAX_VERTICES - 1,
+    and `kings --census` writes one king list per radius up to k + 2."""
+    k = _int_value(text)
     if k < 2:
         raise argparse.ArgumentTypeError(f"k must be >= 2, got {k}")
     if k > MAX_VERTICES:
         raise argparse.ArgumentTypeError(f"k must be <= {MAX_VERTICES}, got {k}")
     return k
+
+
+def _fraction(text: str) -> float:
+    """argparse type of --min-fire: a number from 0 to 1 (not NaN, which
+    would turn the vacuity gate off)."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be from 0 to 1, got {text!r}")
+    return x
 
 
 def build_parser() -> _Parser:
@@ -333,34 +352,34 @@ def build_parser() -> _Parser:
     mode.add_argument("--verify", metavar="SET", help="comma-separated vertex set to verify")
     mode.add_argument("--exhaustive", action="store_true",
                       help="search all subsets for a minimum kernel (the default mode)")
-    kernel.add_argument("--indep", type=int, help="independence radius (default k+1)")
-    kernel.add_argument("--absorb", type=int, help="absorbency radius (default k)")
+    kernel.add_argument("--indep", type=_int_value, help="independence radius (default k+1)")
+    kernel.add_argument("--absorb", type=_int_value, help="absorbency radius (default k)")
 
     gen = add("gen", _cmd_gen, "generate a random k-quasi-transitive digraph", needs_file=False)
-    gen.add_argument("--n", type=int, required=True, help="vertex count")
+    gen.add_argument("--n", type=_int_value, required=True, help="vertex count")
     gen.add_argument("--p", type=float, required=True, help="seed arc probability")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed")
+    gen.add_argument("--seed", type=_int_value, default=0, help="generator seed")
     gen.add_argument("--rule", type=str.upper, choices=[RANDOM, FORWARD], default=RANDOM,
                      help="closure arc orientation")
     gen.add_argument("-o", "--output", required=True, help="output edge-list file")
 
     hunt = add("hunt", _cmd_hunt, "search for a kernel-conjecture counterexample", needs_file=False)
-    hunt.add_argument("--trials", type=int, default=500)
-    hunt.add_argument("--n-min", type=int, default=4, dest="n_min")
-    hunt.add_argument("--n-max", type=int, default=9, dest="n_max")
-    hunt.add_argument("--seed", type=int, default=0)
-    hunt.add_argument("--indep", type=int, help="override independence radius")
-    hunt.add_argument("--absorb", type=int, help="override absorbency radius")
+    hunt.add_argument("--trials", type=_int_value, default=500)
+    hunt.add_argument("--n-min", type=_int_value, default=4, dest="n_min")
+    hunt.add_argument("--n-max", type=_int_value, default=9, dest="n_max")
+    hunt.add_argument("--seed", type=_int_value, default=0)
+    hunt.add_argument("--indep", type=_int_value, help="override independence radius")
+    hunt.add_argument("--absorb", type=_int_value, help="override absorbency radius")
 
     lemmas = add("lemmas", _cmd_lemmas, "re-verify the structural facts on fresh corpora",
                  needs_file=False, needs_k=False)
     lemmas.add_argument("--k-list", default="2,3,4,5,6", dest="k_list")
-    lemmas.add_argument("--trials", type=int, help="set both corpus sizes at once")
-    lemmas.add_argument("--kings-trials", type=int, default=200, dest="kings_trials")
-    lemmas.add_argument("--lemma-trials", type=int, default=60, dest="lemma_trials")
-    lemmas.add_argument("--n-max", type=int, default=10, dest="n_max")
-    lemmas.add_argument("--seed", type=int, default=1789)
-    lemmas.add_argument("--min-fire", type=float, default=0.05, dest="min_fire")
+    lemmas.add_argument("--trials", type=_int_value, help="set both corpus sizes at once")
+    lemmas.add_argument("--kings-trials", type=_int_value, default=200, dest="kings_trials")
+    lemmas.add_argument("--lemma-trials", type=_int_value, default=60, dest="lemma_trials")
+    lemmas.add_argument("--n-max", type=_int_value, default=10, dest="n_max")
+    lemmas.add_argument("--seed", type=_int_value, default=1789)
+    lemmas.add_argument("--min-fire", type=_fraction, default=0.05, dest="min_fire")
     return parser
 
 

@@ -6,14 +6,15 @@ job that comes first in ``jobs``.  With one CPU allowed, or on a platform
 without ``os.fork`` or ``os.sched_getaffinity`` (macOS, Windows), it runs
 exactly that loop in this process, so ``taskset -c 0`` gives a serial run.
 
-Otherwise it forks one worker per allowed CPU, at most one per job.  The
-workers take job numbers from one shared pipe in input order, so a worker
-that finishes early takes the next job.  Each worker stops at its first
-failing job, then sends its results and that failure back as one pickle
-over its own pipe and leaves with ``os._exit``.  The parent reaps every
-worker with ``waitpid``, so the rusage of the process (and a ``wait4`` on
-it) counts the workers' CPU time and peak RSS.  ``pickle`` is imported
-only on this path.
+Otherwise it forks w workers, one per allowed CPU and at most one per job,
+and deals the jobs round-robin: worker i runs jobs i, i + w, i + 2w, ... in
+order.  Each worker stops at its first failing job, then sends its results
+and that failure back as one pickle over its own pipe and leaves with
+``os._exit``.  A worker skips only jobs after its own failure, so the
+failure that comes first in ``jobs`` is always among those sent back.  The
+parent reaps every worker with ``waitpid``, so the rusage of the process
+(and a ``wait4`` on it) counts the workers' CPU time and peak RSS.
+``pickle`` is imported only on this path.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ from __future__ import annotations
 import os
 
 from .errors import QkError
-
-# A job number in the queue: 4 bytes, little-endian.
-_RECORD = 4
-# Queue writes of at most PIPE_BUF (4096 on Linux) bytes land whole, so a
-# worker's 4-byte read never sees part of a record.
-_WRITE = 4096
 
 
 def cpus() -> int:
@@ -50,27 +45,16 @@ def _forked(fn, jobs: list, workers: int) -> list:
     import pickle
     import signal
 
-    queue_r, queue_w = os.pipe()
     children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
     reaped: set[int] = set()
     try:
-        for _ in range(workers):
+        for i in range(workers):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(fn, jobs, queue_r, w, queue_w)
+                _work(fn, jobs, slice(i, None, workers), w)
             os.close(w)
             children.append((pid, r))
-        os.close(queue_r)
-        queue_r = -1
-        records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(jobs)))
-        try:
-            for at in range(0, len(records), _WRITE):
-                os.write(queue_w, records[at : at + _WRITE])
-        except BrokenPipeError:
-            pass  # every worker has stopped; their replies say why
-        os.close(queue_w)
-        queue_w = -1
         replies = []
         for pid, r in children:
             with open(r, "rb", closefd=False) as fh:
@@ -82,45 +66,40 @@ def _forked(fn, jobs: list, workers: int) -> list:
                 raise QkError(f"worker process {pid} ended with {how} without a result")
             replies.append(data)
     finally:
-        for fd in (queue_r, queue_w):
-            if fd >= 0:
-                os.close(fd)
         for pid, r in children:
             os.close(r)
             if pid not in reaped:  # this process is failing: stop the rest
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     results = [None] * len(jobs)
-    first = None
-    for done, failed in map(pickle.loads, replies):
-        for i, value in done:
-            results[i] = value
-        if failed is not None and (first is None or failed[0] < first[0]):
-            first = failed
+    first = None  # (job number, exception) of the failure first in input order
+    for i, (done, failed) in enumerate(map(pickle.loads, replies)):
+        # worker i ran jobs i, i + w, ... up to, not including, job stop
+        stop = i + workers * len(done)
+        results[i:stop:workers] = done
+        if failed is not None and (first is None or stop < first[0]):
+            first = (stop, failed)
     if first is not None:
         raise first[1]
     return results
 
 
-def _work(fn, jobs: list, queue: int, out: int, queue_w: int) -> None:
-    """A worker's life: close its copy of the queue's write end (or the
-    queue never ends), run the jobs it takes from the queue, stopping at
-    the first that raises, write (results, failure) to out, then exit.
+def _work(fn, jobs: list, mine: slice, out: int) -> None:
+    """A worker's life: run jobs[mine] in order, stopping at the
+    first that raises, write (results, failure) to out, then exit.
     os._exit skips the parent's atexit handlers and never flushes stdio
     buffers the worker inherited."""
     import pickle
 
     status = 1
     try:
-        os.close(queue_w)
         done, failed = [], None
-        while failed is None and (record := os.read(queue, _RECORD)):
-            i = int.from_bytes(record, "little")
+        for job in jobs[mine]:
             try:
-                done.append((i, fn(jobs[i])))
+                done.append(fn(job))
             except Exception as exc:
-                failed = (i, exc)
-        os.close(queue)  # once every worker has, a parent still writing gets EPIPE
+                failed = exc
+                break
         with open(out, "wb") as fh:
             fh.write(pickle.dumps((done, failed)))
         status = 0

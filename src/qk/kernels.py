@@ -25,9 +25,6 @@ from .qt import GenConfig, certify_qt, mix_seed, random_qt
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
 
-# How many contiguous trial ranges hunt_conjecture hands to qk.fanout.
-HUNT_RANGES = 16
-
 
 @dataclass(frozen=True)
 class KernelCertificate:
@@ -272,6 +269,10 @@ def hunt_conjecture(
     k-quasi-transitive digraph, and runs the complete kernel search.  A
     trial with no kernel is recheck_counterexample'd before it is recorded.
     Fully deterministic in (k, trials, n_max, base_seed, radii, n_min).
+
+    Each trial is one job of qk.fanout.fan_out, so trials may run in
+    parallel worker processes; the ledger, and the error raised if a trial
+    fails, are those of the serial loop over the trials.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -286,43 +287,31 @@ def hunt_conjecture(
         raise ValueError("kernel radii must be >= 1")
     from .fanout import fan_out  # loaded on use: qk's start-up imports no more
 
-    def trial_range(span: tuple[int, int]):
-        found, hist, hits = 0, Counter(), []
-        for t in range(*span):
-            seed = mix_seed(base_seed, k, t)
-            rng = _random.Random(seed)
-            n = rng.randint(n_min, n_max)
-            p = min(1.0, rng.uniform(0.5, 2.5) / n)
-            d = random_qt(GenConfig(n=n, k=k, arc_prob=p, seed=rng.getrandbits(64)))
-            kernel = exhaustive_kernel_search(d, rr[0], rr[1], cap=n_max)
-            if kernel is None:
-                ce = Counterexample(
-                    k=k, radii=rr, n=d.n, arcs=tuple(d.arcs()), trial=t, seed=seed
-                )
-                if not recheck_counterexample(ce):
-                    raise AssertionError(f"hunt hit failed recheck: {ce}")
-                hits.append(ce)
-            else:
-                found += 1
-                hist[len(kernel)] += 1
-        return found, hist, hits
+    def trial(t: int) -> int | Counterexample:
+        """The size of the kernel trial t finds, or its rechecked hit."""
+        seed = mix_seed(base_seed, k, t)
+        rng = _random.Random(seed)
+        n = rng.randint(n_min, n_max)
+        p = min(1.0, rng.uniform(0.5, 2.5) / n)
+        d = random_qt(GenConfig(n=n, k=k, arc_prob=p, seed=rng.getrandbits(64)))
+        kernel = exhaustive_kernel_search(d, rr[0], rr[1])
+        if kernel is not None:
+            return len(kernel)
+        ce = Counterexample(k=k, radii=rr, n=d.n, arcs=tuple(d.arcs()), trial=t, seed=seed)
+        if not recheck_counterexample(ce):
+            raise AssertionError(f"hunt hit failed recheck: {ce}")
+        return ce
 
-    # Contiguous trial ranges, merged in trial order.  There are more ranges
-    # than CPUs, so a worker whose trials came cheap takes another range.
-    parts = max(1, min(trials, HUNT_RANGES))
-    bounds = [trials * i // parts for i in range(parts + 1)]
-    found, hist, hits = 0, Counter(), []
-    for part_found, part_hist, part_hits in fan_out(trial_range, zip(bounds, bounds[1:])):
-        found += part_found
-        hist.update(part_hist)
-        hits += part_hits
+    outcomes = fan_out(trial, range(trials))
+    hist = Counter(x for x in outcomes if isinstance(x, int))
+    hits = [x for x in outcomes if isinstance(x, Counterexample)]
     return HuntLedger(
         k=k,
         radii=rr,
         trials=trials,
         n_max=n_max,
         base_seed=base_seed,
-        kernels_found=found,
+        kernels_found=trials - len(hits),
         size_histogram=dict(sorted(hist.items())),
         counterexamples=tuple(hits),
     )

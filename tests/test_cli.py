@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qk
 import qk.cli
 import qk.kernels
 from qk.cli import main
@@ -302,7 +305,7 @@ class TestHunt:
 class TestLemmas:
     def test_empty_k_list(self, capsys):
         code, out = run(capsys, "lemmas", "--k-list", "")
-        assert code == 0
+        assert code == 3
 
     def test_small_clean_run(self, capsys):
         code, out = run(capsys, "lemmas", "--k-list", "2", "--kings-trials", "40",
@@ -313,6 +316,29 @@ class TestLemmas:
 
     def test_bad_k_list(self, capsys):
         assert main(["lemmas", "--k-list", "a,b"]) == 3
+
+    def test_k_list_of_separators_runs_nothing(self, capsys):
+        assert main(["lemmas", "--k-list", ",,"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k list is empty" in captured.err
+
+    @pytest.mark.parametrize("value, reason", [
+        ("5000", f"k must be <= {MAX_VERTICES}, got 5000"),
+        ("2,1", "k must be >= 2, got 1"),
+    ])
+    def test_k_list_values_meet_the_k_bound(self, capsys, value, reason):
+        assert main(["lemmas", "--k-list", value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot parse k list {value!r}: {reason}" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5", "inf", "half"])
+    def test_min_fire_outside_zero_to_one(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--k-list", "2", "--min-fire", value])
+        assert exc.value.code == 3
+        assert "argument --min-fire" in capsys.readouterr().err
 
     def test_json_excludes_wall_clock(self, capsys):
         code, doc = run_json(capsys, "lemmas", "--k-list", "2",
@@ -373,6 +399,41 @@ class TestUsageAndErrors:
             main(["kings", d4_file, "--k", "two"])
         assert exc.value.code == 3
         assert "invalid int value: 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1_0", "+3"])
+    @pytest.mark.parametrize("argv", [
+        ["check", "FILE", "--k"],
+        ["kernel", "FILE", "--k", "2", "--indep"],
+        ["kernel", "FILE", "--k", "2", "--absorb"],
+        ["gen", "--k", "2", "--p", "0.5", "-o", "OUT", "--n"],
+        ["gen", "--k", "2", "--n", "4", "--p", "0.5", "-o", "OUT", "--seed"],
+        *(["hunt", "--k", "2", option]
+          for option in ["--trials", "--n-min", "--n-max", "--seed", "--indep", "--absorb"]),
+        *(["lemmas", option] for option in
+          ["--trials", "--kings-trials", "--lemma-trials", "--n-max", "--seed"]),
+    ], ids=" ".join)
+    def test_integer_options_read_only_digits(self, capsys, d4_file, tmp_path, argv, value):
+        names = {"FILE": d4_file, "OUT": str(tmp_path / "out.edges")}
+        with pytest.raises(SystemExit) as exc:
+            main([names.get(a, a) for a in argv] + [value])
+        assert exc.value.code == 3
+        assert f"argument {argv[-1]}: invalid int value: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out.edges").exists()
+
+    @pytest.mark.parametrize("argv, what", [
+        (["kernel", "FILE", "--k", "2", "--verify", "0,+2"], "vertex set '0,+2'"),
+        (["kernel", "FILE", "--k", "2", "--verify", "1_0"], "vertex set '1_0'"),
+        (["lemmas", "--k-list", "2,+3"], "k list '2,+3'"),
+        (["lemmas", "--k-list", "1_0"], "k list '1_0'"),
+    ])
+    def test_integer_lists_read_only_digits(self, capsys, d4_file, argv, what):
+        assert main([d4_file if a == "FILE" else a for a in argv]) == 3
+        assert f"cannot parse {what}" in capsys.readouterr().err
+
+    def test_negative_seed_still_reads(self, capsys):
+        code, doc = run_json(capsys, "hunt", "--k", "2", "--trials", "3", "--seed", "-5")
+        assert code == 0
+        assert doc["result"]["base_seed"] == -5
 
     def test_k_above_the_vertex_limit_is_a_usage_error(self, capsys, tmp_path):
         # --census writes one king list per radius up to k + 2, so an
@@ -467,6 +528,18 @@ class TestRawJsonBytes:
         p.write_text(_er_text(32, 0.12, 7))
         _, doc = run_json(capsys, "check", str(p), "--k", "3")
         assert len(doc["result"]["violations"]) > 1000
+
+
+def test_startup_imports_stay_lazy():
+    # fanout, and the pickle/signal/traceback it uses, load only when
+    # lemmas or hunt fan out
+    code = ("import sys, qk.cli; print(' '.join(m for m in "
+            "('pickle', 'signal', 'traceback', 'qk.fanout') if m in sys.modules))")
+    src = str(Path(qk.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_installed_entry_point():

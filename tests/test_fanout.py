@@ -18,6 +18,7 @@ import pytest
 import qk
 from qk import errors, fanout
 from qk.cli import main
+from qk.kernels import hunt_conjecture
 
 SRC = str(Path(qk.__file__).resolve().parent.parent)
 
@@ -64,8 +65,9 @@ class TestForked:
         assert_no_children()
 
     def test_first_failure_in_input_order_is_raised(self, three_workers):
-        # The first worker forked most likely takes job 0 and, when it is
-        # done, fails on a later job than the other workers did.
+        # Dealt round-robin to three workers: the first fails on job 3 after
+        # sleeping on job 0, long after the second failed on job 1.  Its
+        # reply is read first, yet the error is job 1's, as in the serial loop.
         def job(j):
             if j == 0:
                 time.sleep(0.3)
@@ -109,9 +111,55 @@ class TestForked:
         assert_no_children()
 
     def test_more_jobs_than_one_queue_write(self, three_workers):
-        # 1,500 job numbers take two writes to the queue
+        # 500 jobs per worker, each worker's results sent in one reply
         assert fanout.fan_out(square, range(1500)) == [j * j for j in range(1500)]
         assert_no_children()
+
+
+    def test_no_jobs(self, three_workers):
+        assert fanout.fan_out(square, []) == []
+        assert_no_children()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_fewer_jobs_than_workers(self, three_workers, count):
+        assert fanout.fan_out(square, range(count)) == [j * j for j in range(count)]
+        assert_no_children()
+
+    @pytest.mark.parametrize("count", [2, 3, 7, 40])
+    def test_each_job_runs_once(self, three_workers, tmp_path, count):
+        log = tmp_path / "log"
+
+        def job(j):
+            with open(log, "a") as fh:  # one short append per job lands whole
+                fh.write(f"{j}\n")
+            return j
+
+        assert fanout.fan_out(job, range(count)) == list(range(count))
+        assert sorted(map(int, log.read_text().split())) == list(range(count))
+        assert_no_children()
+
+    def test_jobs_are_dealt_round_robin(self, three_workers):
+        pids = fanout.fan_out(lambda j: os.getpid(), range(10))
+        assert len(set(pids)) == 3
+        assert pids == [pids[j % 3] for j in range(10)]
+        assert_no_children()
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2, 7, 40])
+def test_hunt_ledger_alike_on_one_two_and_three_workers(monkeypatch, deadline, trials):
+    ledgers = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fanout, "cpus", lambda: workers)
+        ledgers.append(hunt_conjecture(2, trials=trials, n_max=8, base_seed=3, radii=(5, 1)))
+    assert ledgers[0] == ledgers[1] == ledgers[2]
+    serial = ledgers[0]
+    assert serial.trials == trials
+    assert serial.kernels_found + len(serial.counterexamples) == trials
+    assert sum(serial.size_histogram.values()) == serial.kernels_found
+    assert [ce.trial for ce in serial.counterexamples] == sorted(
+        ce.trial for ce in serial.counterexamples
+    )
+    assert serial.refuted == (trials > 0)
 
 
 class TestSerial:
