@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import random as _random
 import time
-from dataclasses import dataclass
 
+from .base import Record
 from .digraph import Digraph, INF, build, distances_from
 from .errors import NotQuasiTransitiveInput
 from .kings import census, degree_threshold_vertices, find_kplus1_king_fast
@@ -31,8 +31,7 @@ from .kernels import construct_kplus2_kernel
 from .qt import FORWARD, GenConfig, mix_seed, qt_closure, random_qt
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One concrete failed claim: which checker, which clause, on what."""
 
     check_id: str
@@ -537,8 +536,7 @@ def lemma_corpus(k: int, trials: int = 60, base_seed: int = 355) -> list[Digraph
     return out
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     check_id: str
     k: int
     instances_checked: int

@@ -11,24 +11,12 @@ command, a content digest of the (canonical) input, and the result.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import sys
-from itertools import islice
 
 from . import __version__
-from .checks import run_suite, summarize
-from .edgelist import MAX_VERTICES, content_digest, read_digraph, write_digraph
+from .base import FORWARD, MAX_VERTICES, RANDOM, Record
 from .errors import EdgeListParseError, NotQuasiTransitiveInput, QkError
-from .kernels import (
-    construct_kplus2_kernel,
-    exhaustive_kernel_search,
-    hunt_conjecture,
-    verify_kernel,
-)
-from .kings import all_r_kings, census, find_kplus1_king_fast
-from .qt import FORWARD, RANDOM, GenConfig, is_k_quasi_transitive, random_qt
 
 USAGE_EXIT = 3
 
@@ -42,35 +30,90 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
-_SCALARS = frozenset({int, str, bool, type(None)})
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+_BATCH = 4096  # pieces of text per write
 
 
-def _jsonable(x):
-    """Recursively convert report objects for JSON: dataclasses to
-    dicts (dropping wall-clock fields), infinities to null, tuples to
-    lists, mapping keys to strings.  The common types are matched exactly
-    and each dataclass's field names are looked up once per class."""
-    t = type(x)
-    if t in _SCALARS:
-        return x
-    if t is list or t is tuple:
-        return [_jsonable(v) for v in x]
-    names = _FIELD_NAMES.get(t)
-    if names is None and dataclasses.is_dataclass(x) and not isinstance(x, type):
-        names = _FIELD_NAMES[t] = tuple(
-            f.name for f in dataclasses.fields(x) if f.name != "elapsed"
-        )
-    if names is not None:
-        return {name: _jsonable(getattr(x, name)) for name in names}
-    if isinstance(x, float):
-        if math.isinf(x) or math.isnan(x):
-            return None
-        return int(x) if x.is_integer() else x
-    if isinstance(x, dict):
-        return {str(key): _jsonable(value) for key, value in x.items()}
-    return x
+def write_json(doc, write) -> None:
+    """Write doc through write() as json.dumps(doc, sort_keys=True,
+    indent=2) writes it, with qk's conversions: a record is an object of
+    its fields except elapsed (wall-clock time), an infinite or NaN float
+    is null and an integral float an int, a tuple is an array, and mapping
+    keys become str() of themselves.  Any other type (subclasses of str,
+    int, float, list and tuple too) raises TypeError.
+
+    The text goes out in batches of pieces, so memory does not grow with
+    the document; strings are quoted by json's C escaper."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    parts: list[str] = []
+    append = parts.append
+    fields: dict[type, tuple[str, ...]] = {}  # per record type: sorted, without elapsed
+
+    def put(x, nl: str) -> None:
+        t = type(x)
+        if t is int:
+            append(repr(x))
+        elif t is str:
+            append(quote(x))
+        elif t is tuple or t is list:
+            array(x, nl)
+        elif t is float:
+            if math.isinf(x) or math.isnan(x):
+                append("null")
+            else:
+                append(repr(int(x)) if x.is_integer() else repr(x))
+        elif x is None:
+            append("null")
+        elif t is bool:
+            append("true" if x else "false")
+        elif (names := fields.get(t)) is not None:
+            members([(name, getattr(x, name)) for name in names], nl)
+        elif isinstance(x, Record):
+            fields[t] = tuple(sorted(name for name in x.__slots__ if name != "elapsed"))
+            put(x, nl)
+        elif isinstance(x, dict):
+            keyed = {str(key): value for key, value in x.items()}
+            members(sorted(keyed.items()), nl)
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    def array(x, nl: str) -> None:
+        if not x:
+            append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            if type(v) is int:
+                append(sep + repr(v))
+            else:
+                append(sep)
+                put(v, inner)
+            sep = "," + inner
+            if len(parts) > _BATCH:
+                flush()
+        append(nl + "]")
+
+    def members(items, nl: str) -> None:
+        if not items:
+            append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, v in items:
+            append(sep + quote(key) + ": ")
+            put(v, inner)
+            sep = "," + inner
+            if len(parts) > _BATCH:
+                flush()
+        append(nl + "}")
+
+    def flush() -> None:
+        write("".join(parts))
+        parts.clear()
+
+    put(doc, "\n")
+    flush()
 
 
 def _emit(args, command: str, digest, result, human: str) -> None:
@@ -79,13 +122,9 @@ def _emit(args, command: str, digest, result, human: str) -> None:
             "tool_version": __version__,
             "command": command,
             "input_digest": digest,
-            "result": _jsonable(result),
+            "result": result,
         }
-        # One write per encoder chunk is slow and one string costs the whole
-        # document in memory, so write batches; no chunk is ever empty.
-        chunks = _ENCODER.iterencode(doc)
-        while batch := "".join(islice(chunks, 4096)):
-            sys.stdout.write(batch)
+        write_json(doc, sys.stdout.write)
         sys.stdout.write("\n")
     elif human:
         print(human)
@@ -96,6 +135,9 @@ def _fmt_set(vs) -> str:
 
 
 def _cmd_check(args) -> int:
+    from .edgelist import content_digest, read_digraph
+    from .qt import is_k_quasi_transitive
+
     d = read_digraph(args.file)
     violations = is_k_quasi_transitive(d, args.k)
     ok = not violations
@@ -118,6 +160,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_kings(args) -> int:
+    from .edgelist import content_digest, read_digraph
+    from .kings import all_r_kings, census, find_kplus1_king_fast
+
     d = read_digraph(args.file)
     digest = content_digest(d)
     if args.census:
@@ -170,6 +215,9 @@ def _parse_ints(text: str, what: str, item) -> tuple[int, ...]:
 
 
 def _cmd_kernel(args) -> int:
+    from .edgelist import content_digest, read_digraph
+    from .kernels import construct_kplus2_kernel, exhaustive_kernel_search, verify_kernel
+
     d = read_digraph(args.file)
     digest = content_digest(d)
     if args.construct:
@@ -214,6 +262,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .edgelist import write_digraph
+    from .qt import GenConfig, random_qt
+
     cfg = GenConfig(n=args.n, k=args.k, arc_prob=args.p, seed=args.seed, orientation_rule=args.rule)
     d = random_qt(cfg)
     digest = write_digraph(args.output, d)
@@ -228,6 +279,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
+    from .kernels import hunt_conjecture
+
     radii = None
     if args.indep is not None or args.absorb is not None:
         if args.indep is None or args.absorb is None:
@@ -254,6 +307,8 @@ def _cmd_hunt(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    from .checks import run_suite, summarize
+
     k_values = _parse_ints(args.k_list, "k list", _k_value)
     if not k_values:
         raise QkError("k list is empty")
@@ -310,6 +365,25 @@ def _k_value(text: str) -> int:
     if k > MAX_VERTICES:
         raise argparse.ArgumentTypeError(f"k must be <= {MAX_VERTICES}, got {k}")
     return k
+
+
+def _trials(text: str) -> int:
+    """argparse type of lemmas' trial counts: an integer >= 1.  A corpus
+    of no instances checks nothing, and nothing found would read as a
+    pass."""
+    trials = _int_value(text)
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 trial, got {trials}")
+    return trials
+
+
+def _lemmas_n_max(text: str) -> int:
+    """argparse type of lemmas --n-max: an integer >= 2, the smallest
+    order the kings corpus draws."""
+    n_max = _int_value(text)
+    if n_max < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, the smallest corpus order, got {n_max}")
+    return n_max
 
 
 def _fraction(text: str) -> float:
@@ -374,10 +448,10 @@ def build_parser() -> _Parser:
     lemmas = add("lemmas", _cmd_lemmas, "re-verify the structural facts on fresh corpora",
                  needs_file=False, needs_k=False)
     lemmas.add_argument("--k-list", default="2,3,4,5,6", dest="k_list")
-    lemmas.add_argument("--trials", type=_int_value, help="set both corpus sizes at once")
-    lemmas.add_argument("--kings-trials", type=_int_value, default=200, dest="kings_trials")
-    lemmas.add_argument("--lemma-trials", type=_int_value, default=60, dest="lemma_trials")
-    lemmas.add_argument("--n-max", type=_int_value, default=10, dest="n_max")
+    lemmas.add_argument("--trials", type=_trials, help="set both corpus sizes at once")
+    lemmas.add_argument("--kings-trials", type=_trials, default=200, dest="kings_trials")
+    lemmas.add_argument("--lemma-trials", type=_trials, default=60, dest="lemma_trials")
+    lemmas.add_argument("--n-max", type=_lemmas_n_max, default=10, dest="n_max")
     lemmas.add_argument("--seed", type=_int_value, default=1789)
     lemmas.add_argument("--min-fire", type=_fraction, default=0.05, dest="min_fire")
     return parser

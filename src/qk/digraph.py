@@ -27,8 +27,8 @@ reachability, so "cannot reach" must be unmistakable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .base import Record
 from .errors import DuplicateArc, LoopArc, VertexOutOfRange
 
 INF = math.inf
@@ -207,8 +207,7 @@ def distance_matrix(d: Digraph) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(distances_from(d, s)) for s in range(d.n))
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(Record):
     """Strong components of a digraph plus its condensation DAG.
 
     components are numbered by smallest contained vertex id, so the

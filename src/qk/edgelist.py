@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import hashlib
 
+from .base import MAX_VERTICES
 from .digraph import Digraph
 from .errors import EdgeListParseError
-
-# Largest vertex count a header may announce, checked before any row is
-# allocated.  A bitmask row costs up to n bits, so n rows can cost n*n/8
-# bytes (2 MB here) however short the file is.
-MAX_VERTICES = 1 << 12
 
 
 def emit(d: Digraph) -> str:

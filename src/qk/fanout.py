@@ -33,15 +33,16 @@ def cpus() -> int:
 
 
 def fan_out(fn, jobs) -> list:
-    """[fn(job) for job in jobs], on up to one worker process per CPU."""
-    jobs = list(jobs)
+    """[fn(job) for job in jobs], on up to one worker process per CPU.
+    jobs is a sequence (a range, tuple or list), read as given: a range of
+    trials is never turned into a list."""
     workers = min(cpus(), len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
     return _forked(fn, jobs, workers)
 
 
-def _forked(fn, jobs: list, workers: int) -> list:
+def _forked(fn, jobs, workers: int) -> list:
     import pickle
     import signal
 
@@ -84,7 +85,7 @@ def _forked(fn, jobs: list, workers: int) -> list:
     return results
 
 
-def _work(fn, jobs: list, mine: slice, out: int) -> None:
+def _work(fn, jobs, mine: slice, out: int) -> None:
     """A worker's life: run jobs[mine] in order, stopping at the
     first that raises, write (results, failure) to out, then exit.
     os._exit skips the parent's atexit handlers and never flushes stdio

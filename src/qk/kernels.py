@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 import random as _random
 from collections import Counter
-from dataclasses import dataclass
 
+from .base import Record
 from .digraph import Digraph, bfs, build, distances_from
 from .errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
 from .kings import max_degree_vertex
@@ -26,8 +26,7 @@ VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
 
 
-@dataclass(frozen=True)
-class KernelCertificate:
+class KernelCertificate(Record):
     """Outcome of checking one candidate set against one (k, l) pair.
 
     witness is an ordered pair (u, v) with d(u, v) < k when independence
@@ -213,8 +212,7 @@ def _combinations_kernel(d: Digraph, k: int, l: int) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """A digraph the hunt flagged: k-quasi-transitive, yet no
     (radii[0], radii[1])-kernel exists."""
 
@@ -237,8 +235,7 @@ def recheck_counterexample(ce: Counterexample) -> bool:
     return _combinations_kernel(d, ce.radii[0], ce.radii[1]) is None
 
 
-@dataclass(frozen=True)
-class HuntLedger:
+class HuntLedger(Record):
     k: int
     radii: tuple[int, int]
     trials: int

@@ -12,8 +12,7 @@ into a diagnosable error instead of a silently wrong king.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .base import Record
 from .digraph import Digraph, distances_from
 from .errors import NotQuasiTransitiveInput
 
@@ -85,8 +84,7 @@ def find_kplus1_king_fast(d: Digraph, k: int) -> int | None:
     return king
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(Record):
     """One counting-theorem clause evaluated on one digraph.
 
     passed is None for informational rows (logged count, no bound to hold).
@@ -98,8 +96,7 @@ class AuditRow:
     passed: bool | None
 
 
-@dataclass(frozen=True)
-class KingReport:
+class KingReport(Record):
     k: int
     ecc_out: tuple[float, ...]
     kings_by_radius: dict[int, tuple[int, ...]]
@@ -108,7 +105,7 @@ class KingReport:
     fast_king: int | None
     max_out_degree: int
     max_out_degree_vertices: tuple[int, ...]
-    counting_audit: tuple[AuditRow, ...] = field(default_factory=tuple)
+    counting_audit: tuple[AuditRow, ...] = ()
 
     @property
     def failed_audits(self) -> tuple[AuditRow, ...]:

@@ -15,13 +15,10 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 
+from .base import FORWARD, RANDOM, Record
 from .digraph import Digraph, bfs, build
 from .errors import InstanceTooLarge
-
-RANDOM = "RANDOM"
-FORWARD = "FORWARD"
 
 DEFAULT_ENUM_CAP = 64
 
@@ -50,8 +47,7 @@ def _require_enumerable(n: int) -> None:
         raise InstanceTooLarge(n, cap)
 
 
-@dataclass(frozen=True)
-class QtViolation:
+class QtViolation(Record):
     """A length-k path whose endpoints are non-adjacent both ways."""
 
     path: tuple[int, ...]
@@ -65,8 +61,7 @@ class QtViolation:
         return self.path[-1]
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Record):
     """Parameters for random instance generation.
 
     arc_prob seeds an Erdos-Renyi-style loop-free digraph, which is then
@@ -80,7 +75,8 @@ class GenConfig:
     seed: int
     orientation_rule: str = RANDOM
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if not 0.0 <= self.arc_prob <= 1.0:
@@ -262,7 +258,9 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
 
 def random_qt(cfg: GenConfig) -> Digraph:
     """Seed an Erdos-Renyi loop-free digraph, then close it under the
-    k-quasi-transitivity condition.  Deterministic per seed."""
+    k-quasi-transitivity condition.  Deterministic per seed.  An order
+    above the enumeration cap fails before any arc is drawn."""
+    _require_enumerable(cfg.n)
     rng = random.Random(cfg.seed)
     arcs = [
         (u, v)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import chorded_path, complete, cycle, d4, long_tournament, path, two_cycles
+from json_oracle import jsonable
 import qk.digraph
 from qk import INF, build
 from qk.checks import (
@@ -32,7 +33,6 @@ from qk.checks import (
     run_suite,
     summarize,
 )
-from qk.cli import _jsonable
 from qk.edgelist import emit
 from qk.kings import census, find_kplus1_king_fast
 from qk.qt import GenConfig, certify_qt, random_qt
@@ -306,7 +306,7 @@ class TestRunChecker:
         assert result.passed
 
 
-# SHA-256 over json.dumps(cli._jsonable(run_checker(...)), sort_keys=True) of
+# SHA-256 over json.dumps(jsonable(run_checker(...)), sort_keys=True) of
 # each checker on RECORD_CORPORA (k -> corpus, in this order), with the
 # number of violation records.  Recorded before the checkers stopped
 # building their own Violation records, so the JSON form of every record
@@ -335,7 +335,7 @@ class TestViolationRecords:
         h = hashlib.sha256()
         count = 0
         for k, corpus in RECORD_CORPORA.items():
-            doc = _jsonable(run_checker(check_id, k, corpus()))
+            doc = jsonable(run_checker(check_id, k, corpus()))
             count += len(doc["violations"])
             h.update(json.dumps(doc, sort_keys=True).encode("ascii"))
         assert (h.hexdigest(), count) == RECORD_DIGESTS[check_id]

@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -177,7 +179,6 @@ class TestKernel:
         monkeypatch.setattr(qk.kernels, "reverse", counted("reverse", reverse), raising=False)
         wrapped_verify = counted("verify", qk.kernels.verify_kernel)
         monkeypatch.setattr(qk.kernels, "verify_kernel", wrapped_verify)
-        monkeypatch.setattr(qk.cli, "verify_kernel", wrapped_verify)
         g = chorded_path(3)
         p = tmp_path / "chorded.edges"
         write_digraph(str(p), g)
@@ -243,6 +244,27 @@ class TestGen:
         run(capsys, "gen", "--n", "10", "--k", "3", "--p", "0.25", "--seed", "9",
             "--rule", rule, "-o", str(out_file))
         assert certify_qt(parse(out_file.read_text()), 3)
+
+    def test_order_above_the_cap_fails_fast(self, tmp_path):
+        # all n * n seed arcs were once drawn before the cap was checked,
+        # which at n = 100000 does not finish, so the child gets a time and
+        # an address-space limit
+        out_file = tmp_path / "g.edges"
+        env = {k: v for k, v in os.environ.items() if k != "QK_ENUM_CAP"}
+        env["PYTHONPATH"] = str(Path(qk.__file__).resolve().parent.parent)
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qk.cli", "gen", "--n", "100000", "--k", "2", "--p", "0.05",
+             "-o", str(out_file)],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 3
+        assert proc.stderr == "qk: error: instance with n=100000 exceeds enumeration cap 64\n"
+        assert proc.stdout == ""
+        assert not out_file.exists()
+        assert elapsed < 2.0
 
 
 class TestHunt:
@@ -339,6 +361,29 @@ class TestLemmas:
             main(["lemmas", "--k-list", "2", "--min-fire", value])
         assert exc.value.code == 3
         assert "argument --min-fire" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--trials", "0"),
+        ("--lemma-trials", "-1"),
+        ("--kings-trials", "0"),
+    ])
+    def test_trial_counts_below_one(self, capsys, option, value):
+        # a corpus of no instances checked nothing and printed 'all checks passed'
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--k-list", "2", option, value])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: need at least 1 trial, got {value}" in captured.err
+
+    def test_n_max_below_two(self, capsys):
+        # the kings corpus draws orders from 2 to n-max
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--k-list", "2", "--n-max", "1"])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --n-max: must be >= 2, the smallest corpus order, got 1" in captured.err
 
     def test_json_excludes_wall_clock(self, capsys):
         code, doc = run_json(capsys, "lemmas", "--k-list", "2",
@@ -530,16 +575,32 @@ class TestRawJsonBytes:
         assert len(doc["result"]["violations"]) > 1000
 
 
-def test_startup_imports_stay_lazy():
-    # fanout, and the pickle/signal/traceback it uses, load only when
-    # lemmas or hunt fan out
-    code = ("import sys, qk.cli; print(' '.join(m for m in "
-            "('pickle', 'signal', 'traceback', 'qk.fanout') if m in sys.modules))")
+def loaded_modules(code, *argv):
+    """Which of the modules named in WATCHED a fresh interpreter has
+    loaded after running code with argv."""
+    code += "; print(' '.join(m for m in WATCHED if m in sys.modules))"
     src = str(Path(qk.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = subprocess.run([sys.executable, "-c", f"import sys; WATCHED = {WATCHED!r}; {code}", *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    return proc.stdout.split("\n")[-2].split()
+
+
+WATCHED = ("qk.checks", "qk.kernels", "qk.kings", "qk.qt", "qk.digraph", "qk.edgelist", "qk.fanout",
+           "qk.errors", "qk.base", "qk.cli", "dataclasses", "inspect", "pickle", "signal", "traceback")
+
+
+def test_startup_imports_stay_lazy(tmp_path):
+    # `import qk` loads no submodule; `import qk.cli` (argument parsing,
+    # --version) none of the library, and fanout's pickle/signal/traceback
+    # load only when lemmas or hunt fan out
+    assert loaded_modules("import qk") == []
+    assert loaded_modules("import qk.cli") == ["qk.errors", "qk.base", "qk.cli"]
+    # a check loads only what it uses
+    p = tmp_path / "d4.edges"
+    write_digraph(str(p), d4())
+    used = loaded_modules("import qk.cli; qk.cli.main(sys.argv[1:])", "check", str(p), "--k", "2")
+    assert used == ["qk.qt", "qk.digraph", "qk.edgelist", "qk.errors", "qk.base", "qk.cli"]
 
 
 def test_installed_entry_point():

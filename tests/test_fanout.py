@@ -145,6 +145,17 @@ class TestForked:
         assert_no_children()
 
 
+@pytest.mark.parametrize("jobs", [range(0), range(1), range(5, 50, 3), range(40, 0, -1), (4, 1, 9)],
+                         ids=repr)
+def test_sequence_read_as_given_on_one_two_and_three_workers(monkeypatch, deadline, jobs):
+    # hunt passes range(trials), which fan_out once copied into a list
+    serial = [square(j) for j in jobs]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fanout, "cpus", lambda: workers)
+        assert fanout.fan_out(square, jobs) == serial
+    assert_no_children()
+
+
 @pytest.mark.parametrize("trials", [0, 1, 2, 7, 40])
 def test_hunt_ledger_alike_on_one_two_and_three_workers(monkeypatch, deadline, trials):
     ledgers = []

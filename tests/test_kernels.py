@@ -9,7 +9,8 @@ from hypothesis import given, settings
 
 import bruteforce
 from instances import chorded_path, complete, cycle, d4, path, two_cycles
-from qk import build, cli
+from json_oracle import jsonable
+from qk import build
 from qk.errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
 from qk.kernels import (
     Counterexample,
@@ -219,7 +220,7 @@ class TestHunt:
     @pytest.mark.parametrize("k", sorted(LEDGER_DIGESTS))
     def test_ledger_pinned(self, k):
         ledger = hunt_conjecture(k, trials=200, n_max=13, base_seed=5)
-        doc = json.dumps(cli._jsonable(ledger), sort_keys=True)
+        doc = json.dumps(jsonable(ledger), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == LEDGER_DIGESTS[k]
 
     def test_smoke_run_finds_kernels_everywhere(self):
