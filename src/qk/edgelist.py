@@ -5,6 +5,14 @@ skipped.  Vertex ids are 0-based.  The emitter writes a canonical form
 (arcs in lexicographic order, LF endings, no comments), so equal digraphs
 produce byte-identical files and `content_digest` is well defined no matter
 how the input file was formatted.
+
+Two readers share the work.  The bulk reader takes only texts it can prove
+well formed: ASCII, every line (the last one included) two runs of digits
+joined by one space and ended by LF, a header with n at most MAX_VERTICES
+and m equal to the number of arc lines, and arcs that are in range, not
+loops and pairwise distinct.  The emitter's output is such a text.  Any
+other text goes to the line loop, which alone decides what is wrong with a
+text and on which line, and reads comments, blank lines, tabs and CRLF.
 """
 
 from __future__ import annotations
@@ -31,8 +39,48 @@ def content_digest(d: Digraph) -> str:
     return hashlib.sha256(emit(d).encode("ascii")).hexdigest()
 
 
+_CHUNK = 1 << 16  # bytes of arc lines split at a time, so no token list holds them all
+
+
+def _bulk_parse(data: bytes) -> Digraph | None:
+    """The digraph of data if the bulk reader can prove data well formed
+    (see the module docstring), else None.
+
+    The shape check runs at C speed: deleting the digits must leave one
+    " \n" per line, and no field may be empty.  The arcs are then read a
+    chunk of lines at a time; an out-of-range id is an IndexError, a field
+    int() refuses (more than 4,300 digits) a ValueError, and loops and
+    duplicates show in the finished rows.
+    """
+    shape = data.translate(None, b"0123456789")
+    lines = shape.count(b" \n")
+    if (not lines or len(shape) != 2 * lines or data[-1:] != b"\n"
+            or data[:1] == b" " or b"\n " in data or b" \n" in data):
+        return None
+    start = data.index(b"\n") + 1
+    try:
+        n, m = map(int, data[:start].split())
+        if n > MAX_VERTICES or m != lines - 1:
+            return None
+        masks = [0] * n
+        bits = [1 << v for v in range(n)]
+        while start < len(data):
+            end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
+            fields = map(int, data[start:end].split())
+            for a, b in zip(fields, fields):
+                masks[a] |= bits[b]
+            start = end
+    except (IndexError, ValueError):
+        return None
+    if any(row >> x & 1 for x, row in enumerate(masks)):
+        return None
+    if sum(row.bit_count() for row in masks) != m:  # a duplicate set no new bit
+        return None
+    return Digraph(n, tuple(masks))
+
+
 def parse(text: str) -> Digraph:
-    """Parse edge-list text into a Digraph in one pass over its lines.
+    """Parse edge-list text into a Digraph.
 
     Raises EdgeListParseError (with a 1-based line number).  When a text
     has several faults, the first of these wins: a bad line (field count,
@@ -40,6 +88,13 @@ def parse(text: str) -> Digraph:
     then a missing header or too few arcs at the end, then the first
     out-of-range id, loop or duplicate arc.
     """
+    d = _bulk_parse(text.encode("ascii")) if text.isascii() else None
+    return _parse_lines(text) if d is None else d
+
+
+def _parse_lines(text: str) -> Digraph:
+    """parse() in one pass over the lines: the reader of every text the
+    bulk reader declines, and the only source of EdgeListParseError."""
     n = m = -1  # until the header is read
     masks: list[int] = []
     count = 0
@@ -98,8 +153,11 @@ def read_digraph(path: str) -> Digraph:
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    d = _bulk_parse(data)
+    if d is not None:
+        return d
     try:
-        return parse(data.decode("ascii"))
+        return _parse_lines(data.decode("ascii"))
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start].decode("ascii") + "x").splitlines())
         raise EdgeListParseError(

@@ -143,9 +143,12 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _ints(tokens: list[str], line_no: int) -> list[int]:
-    if not all(_INTEGER.fullmatch(t) for t in tokens):
-        raise EdgeListParseError(line_no, f"expected integers, got {' '.join(tokens)!r}")
-    return [int(t) for t in tokens]
+    if all(_INTEGER.fullmatch(t) for t in tokens):
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            pass
+    raise EdgeListParseError(line_no, f"expected integers, got {' '.join(tokens)!r}")
 
 
 def two_pass_parse(text: str) -> Digraph:

@@ -1,16 +1,21 @@
 """End-to-end command tests: exit statuses, report contents, JSON stability."""
 
 import hashlib
+import io
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qk
 import qk.cli
@@ -494,6 +499,52 @@ class TestUsageAndErrors:
         code, out = run(capsys, "kings", str(p), "--census", "--k", str(MAX_VERTICES))
         assert code == 0
         assert f"\n{MAX_VERTICES + 2}-kings: {{0}}\n" in out
+
+
+# lines that break an edge-list file, each in its own way
+_FUZZ_FAULTS = [b"", b"# c", b"  ", b"\t2\t0", b"x 1", b"-1 0", b"1_0 1", b"0 \xff", b"caf\xc3\xa9",
+                b"0 1 2", b"1 1", b"0 9", b"0 1"]
+
+
+@st.composite
+def _fuzz_files(draw):
+    """Random bytes, or an edge-list file of 4 vertices (or 70, above the
+    enumeration cap) with up to two faulty lines mixed in, a header that
+    may miscount, and LF, CRLF or CR line ends."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=48))
+    n = draw(st.sampled_from([4, 4, 4, 70]))
+    lines = draw(st.lists(st.sampled_from([b"0 1", b"1 2", b"2 3", b"3 0", b"00 2"]), unique=True))
+    m = max(len(lines) + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    for pos, line in draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_FUZZ_FAULTS)), max_size=2)):
+        lines.insert(pos % (len(lines) + 1), line)
+    ending = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return ending.join([b"%d %d" % (n, m), *lines]) + draw(st.sampled_from([ending, b""]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.edges"
+
+
+class TestFileBytesFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_fuzz_files())
+    def test_check_exits_cleanly_on_any_bytes(self, fuzz_path, data):
+        fuzz_path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check", str(fuzz_path), "--k", "2"])
+        assert code in (0, 1, 3)
+        message = err.getvalue()
+        assert "Traceback" not in message
+        if code == 3:
+            # a parse error names its line; the only other refusal of a
+            # parsed file is the enumeration cap
+            named = re.fullmatch(f"qk: error: {re.escape(str(fuzz_path))}: line [0-9]+: .+\n", message)
+            assert named or "exceeds enumeration cap" in message, message
+        else:
+            assert message == ""
 
 
 class TestJsonStability:

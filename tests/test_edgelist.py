@@ -1,15 +1,19 @@
 """File format: canonical emission, tolerant parsing, line-numbered errors."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qk.edgelist
 from bruteforce import two_pass_parse
-from instances import chorded_path, cycle, d4, two_cycles
+from instances import chorded_path, cycle, d4, long_tournament, two_cycles
 from qk import build
-from qk.edgelist import MAX_VERTICES, content_digest, emit, parse, read_digraph, write_digraph
+from qk.edgelist import (
+    MAX_VERTICES, _bulk_parse, content_digest, emit, parse, read_digraph, write_digraph,
+)
 from qk.errors import EdgeListParseError
 from strategies import digraphs
 
@@ -112,23 +116,43 @@ _ODD_LINES = [
     "+0 1", "0 1_0", "0 \u0661",
 ]
 
+# one more digit than int() converts by default (sys.get_int_max_str_digits)
+_HUGE = "1" * 4301
+
+
+def _shaped_faults(n: int, body: list[str]) -> list[str]:
+    """Lines of digits, one space, digits: the bulk reader's shape check
+    passes them, and it must still read or decline each one as the line
+    loop would.  Leading zeros, a field int() refuses, an out-of-range head
+    and tail, a loop and a duplicate."""
+    return [f"00{n - 1} 0", f"{_HUGE} 0", f"0 {_HUGE}", f"{n} 0", f"0 {n}",
+            f"{n - 1} {n - 1}", *body[:1]]
+
 
 @st.composite
 def edge_list_texts(draw):
     """Edge-list texts that are mostly well formed, with every fault the
     parser reports mixed in: field counts, non-integers, negative headers,
-    out-of-range ids, loops, duplicates, too many and too few arcs."""
+    out-of-range ids, loops, duplicates, too many and too few arcs.  Half
+    are in the bulk reader's shape (no comment, blank, tab or CR, LF after
+    every line) with only faults that keep that shape, so each of its
+    bail-outs is reached: see _shaped_faults, and m one off the count."""
     n = draw(st.integers(1, 6))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
     body = [f"{u} {v}" for u, v in arcs]
-    faulty = [f"{n} 0", f"0 {n + 1}", "0 -1", f"{n - 1} {n - 1}", *body[:1]]
-    odd = st.sampled_from(_ODD_LINES + faulty)
-    for pos, line in draw(st.lists(st.tuples(st.integers(0, 8), odd), max_size=3)):
+    shaped = draw(st.booleans())
+    faulty = _shaped_faults(n, body)
+    if not shaped:
+        faulty = _ODD_LINES + faulty + ["0 -1"]
+    for pos, line in draw(st.lists(st.tuples(st.integers(0, 8), st.sampled_from(faulty)), max_size=3)):
         body.insert(pos % (len(body) + 1), line)
     count = sum(1 for line in body if len(line.split()) == 2)
     m = max(count + draw(st.sampled_from([0, 0, 0, 0, -1, 1])), 0)
-    header = draw(st.sampled_from([f"{n} {m}"] * 6 + [f"-{n + 1} {m}", ""]))
+    headers = [f"{n} {m}"] * 6 + [f"0{n} {m}", f"{_HUGE} {m}"]
+    if shaped:
+        return "\n".join([draw(st.sampled_from(headers)), *body]) + "\n"
+    header = draw(st.sampled_from(headers + [f"-{n + 1} {m}", ""]))
     lead = draw(st.lists(st.sampled_from(["", "# c"]), max_size=2))
     ending = draw(st.sampled_from(["\n", "", "\r\n"]))
     return ending.join([*lead, header, *body]) + ending
@@ -148,6 +172,69 @@ class TestParseAgainstTwoPassOracle:
         d = parse(text)
         assert d == expected
         assert d.masks == tuple(sum(1 << y for y in row) for row in d.adj)
+
+
+@pytest.fixture(scope="module")
+def lt500():
+    d = long_tournament(500)
+    return d, emit(d)
+
+
+def _refuse_line_loop(monkeypatch):
+    def refuse(text):
+        raise AssertionError("entered the line loop")
+
+    monkeypatch.setattr(qk.edgelist, "_parse_lines", refuse)
+
+
+class TestBulkReader:
+    def test_canonical_text_skips_the_line_loop(self, lt500, monkeypatch, tmp_path):
+        d, text = lt500
+        _refuse_line_loop(monkeypatch)
+        assert parse(text) == d
+        p = tmp_path / "lt500.edges"
+        p.write_text(text)
+        assert read_digraph(str(p)) == d
+
+    def test_commented_text_takes_the_line_loop(self, lt500, monkeypatch):
+        _, text = lt500
+        _refuse_line_loop(monkeypatch)
+        with pytest.raises(AssertionError, match="line loop"):
+            parse("# a long tournament\n" + text)
+
+    def test_peak_memory_of_a_canonical_parse(self, lt500):
+        # the arcs are split 64 KiB at a time; the line loop, which splits
+        # this 0.9 MB text into its lines at once, peaks at 8 MB on it
+        _, text = lt500
+        tracemalloc.start()
+        try:
+            parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "\n", "2 0", "2 1\n0 1", "2 0\n55", " 2 1\n0 1\n", "2 1\n 0 1\n",
+            "2 1\n0 \n", "2 1\n0  1\n", "2 1\r\n0 1\r\n", "2 1\n0\t1\n", "# c\n2 0\n",
+            "2 1\n\n0 1\n", "2 1\n0 -1\n", "2 1\n+0 1\n",
+            f"{MAX_VERTICES + 1} 0\n", "3 2\n0 1\n", "3 0\n0 1\n",
+            f"{_HUGE} 0\n", f"2 1\n{_HUGE} 1\n", f"2 1\n0 {_HUGE}\n",
+            "2 1\n2 0\n", "2 1\n0 2\n", "2 1\n1 1\n", "3 2\n0 1\n0 1\n",
+        ],
+    )
+    def test_declines_what_it_cannot_prove(self, text):
+        assert _bulk_parse(text.encode("ascii")) is None
+
+    @pytest.mark.parametrize(
+        "text,arcs",
+        [("0 0\n", []), ("3 2\n2 0\n0 1\n", [(2, 0), (0, 1)]), ("0012 1\n007 011\n", [(7, 11)])],
+    )
+    def test_reads_unsorted_arcs_and_leading_zeros(self, text, arcs):
+        n = int(text.split()[0])
+        assert _bulk_parse(text.encode("ascii")) == build(n, arcs) == two_pass_parse(text)
 
 
 class TestDigest:
