@@ -498,9 +498,9 @@ def _long_diameter_instance(
     return qt_closure(build(n, arcs), k, FORWARD, seed=0)
 
 
-def lemma_corpus(k: int, trials: int = 60, base_seed: int = 355) -> list[Digraph]:
+def lemma_corpus(k: int, trials: int = 60, base_seed: int = 355, start: int = 0) -> list[Digraph]:
     """Instances sized k+3..2k+6-ish, screened so the distance-based
-    hypotheses actually occur.
+    hypotheses actually occur: trials start..trials-1 of the corpus.
 
     Trials rotate through three screening targets: a vertex of
     out-eccentricity exactly k+2 (arms the king facts), at least one
@@ -512,11 +512,11 @@ def lemma_corpus(k: int, trials: int = 60, base_seed: int = 355) -> list[Digraph
     instances (the only systematic way to reach depth k+2 once k grows)
     and sparse random generation; the component target always samples
     sparse.  Each trial retries fresh sub-seeds until its target holds,
-    keeping the last attempt otherwise, so the corpus is deterministic
-    in (k, trials, base_seed).
+    keeping the last attempt otherwise, so each trial is deterministic
+    in (k, t, base_seed) and a run of trials is a slice of the corpus.
     """
     out = []
-    for t in range(trials):
+    for t in range(start, trials):
         want = t % 3
         plant = want != 1 and (t // 3) % 2 == 0
         picked = None
@@ -553,7 +553,8 @@ class CheckResult(Record):
         return not self.violations
 
 
-def run_checker(check_id: str, k: int, corpus: list[Digraph]) -> CheckResult:
+def run_checker(check_id: str, k: int, corpus: list[Digraph], first: int = 0) -> CheckResult:
+    """check_id's checker on every instance; corpus[0] is instance first."""
     fn = CHECKERS[check_id]
     t0 = time.perf_counter()
     fired = 0
@@ -561,7 +562,7 @@ def run_checker(check_id: str, k: int, corpus: list[Digraph]) -> CheckResult:
     for idx, d in enumerate(corpus):
         f, found = fn(d, k)
         fired += bool(f)
-        vs.extend(Violation(check_id, clause, k, witness, detail, idx) for clause, witness, detail in found)
+        vs.extend(Violation(check_id, clause, k, witness, detail, first + idx) for clause, witness, detail in found)
     return CheckResult(
         check_id=check_id,
         k=k,
@@ -570,6 +571,18 @@ def run_checker(check_id: str, k: int, corpus: list[Digraph]) -> CheckResult:
         violations=tuple(vs),
         elapsed=time.perf_counter() - t0,
     )
+
+
+def _merged(*parts: CheckResult) -> CheckResult:
+    """One checker's results on consecutive runs of a corpus, as one."""
+    return CheckResult(
+        parts[0].check_id, parts[0].k, sum(p.instances_checked for p in parts),
+        sum(p.fired for p in parts), tuple(v for p in parts for v in p.violations),
+        sum(p.elapsed for p in parts),
+    )
+
+
+CHUNK = 6  # lemma trials per job: one turn of lemma_corpus's (want, plant) pattern
 
 
 def run_suite(
@@ -583,23 +596,32 @@ def run_suite(
     corpus: distance/path/degree/king facts on the screened depth corpus,
     king-finding and kernel construction on the mixed-density corpus.
 
-    Each k is one job of qk.fanout.fan_out, so the k values may run in
-    parallel worker processes; the results, and the error raised if a k
-    fails, are those of the serial loop over k_values.  The jobs keep the
-    order of k_values (not longest first), because fan_out raises the
-    error of the first failing job in that order."""
+    The jobs of qk.fanout.fan_out, which may run in parallel workers, are,
+    for each k in order: one per CHUNK lemma trials, then the kings corpus.
+    A CHUNK is one turn of lemma_corpus's (want, plant) pattern, so lemma
+    jobs cost about the same; finer jobs would deal one worker every costly
+    unplanted depth trial.  A k's lemma results merge back by position:
+    counts add up, a violation keeps its index in the whole corpus, and
+    elapsed is the sum of the jobs' checker times.  The results, and the
+    error raised if a job fails, are those of the serial loop over the jobs."""
     from .fanout import fan_out  # loaded on use: qk's start-up imports no more
 
-    def for_k(k: int) -> list[CheckResult]:
-        lemmas = lemma_corpus(k, trials=lemma_trials, base_seed=base_seed)
-        kings = kings_corpus(
-            k, trials=kings_trials, n_max=kings_n_max, base_seed=base_seed
-        )
-        return [run_checker(check_id, k, lemmas) for check_id in LEMMA_CHECKS] + [
-            run_checker(check_id, k, kings) for check_id in KING_CHECKS
-        ]
+    starts = range(0, max(lemma_trials, 1), CHUNK)
 
-    return [result for part in fan_out(for_k, k_values) for result in part]
+    def job(spec) -> list[CheckResult]:
+        k, start = spec
+        if start is None:
+            kings = kings_corpus(k, trials=kings_trials, n_max=kings_n_max, base_seed=base_seed)
+            return [run_checker(check_id, k, kings) for check_id in KING_CHECKS]
+        lemmas = lemma_corpus(k, min(start + CHUNK, lemma_trials), base_seed, start)
+        return [run_checker(check_id, k, lemmas, start) for check_id in LEMMA_CHECKS]
+
+    parts = iter(fan_out(job, [(k, start) for k in k_values for start in (*starts, None)]))
+    results = []
+    for _ in k_values:
+        results += map(_merged, *[next(parts) for _ in starts])
+        results += next(parts)
+    return results
 
 
 def summarize(results: list[CheckResult]) -> str:

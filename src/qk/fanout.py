@@ -8,13 +8,16 @@ exactly that loop in this process, so ``taskset -c 0`` gives a serial run.
 
 Otherwise it forks w workers, one per allowed CPU and at most one per job,
 and deals the jobs round-robin: worker i runs jobs i, i + w, i + 2w, ... in
-order.  Each worker stops at its first failing job, then sends its results
-and that failure back as one pickle over its own pipe and leaves with
-``os._exit``.  A worker skips only jobs after its own failure, so the
-failure that comes first in ``jobs`` is always among those sent back.  The
-parent reaps every worker with ``waitpid``, so the rusage of the process
-(and a ``wait4`` on it) counts the workers' CPU time and peak RSS.
-``pickle`` is imported only on this path.
+order.  Each worker stops at its first failing job, sends its results and
+that failure back as one pickle over its own pipe, and leaves with
+``os._exit``.  A shared anonymous ``mmap`` holds each worker's current job
+and the lowest failed job known: no worker starts a job above that, and
+the parent, reading the pipes as they fill (``select``), kills every worker
+whose current job is above it.  A job below a known failure always runs to
+its end, so the failure first in ``jobs`` is always sent back.  The parent
+reaps every worker with ``waitpid``, so the rusage of the process (and a
+``wait4`` on it) counts the workers' CPU time and peak RSS.  ``mmap``,
+``pickle`` and ``select`` are imported only on this path.
 """
 
 from __future__ import annotations
@@ -43,61 +46,78 @@ def fan_out(fn, jobs) -> list:
 
 
 def _forked(fn, jobs, workers: int) -> list:
+    import mmap
     import pickle
+    import select
     import signal
 
-    children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
-    reaped: set[int] = set()
+    # slots[i]: the job worker i runs; slots[workers]: the first failed job known
+    slots = memoryview(mmap.mmap(-1, 8 * (workers + 1))).cast("q")
+    slots[workers] = len(jobs)
+    live: dict[int, tuple] = {}  # read end of a result pipe -> (worker, pid, bytes read)
+    results = [None] * len(jobs)
+    error = None  # the exception of job slots[workers]
+
+    def stop(r: int) -> None:
+        pid = live.pop(r)[1]
+        os.close(r)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
     try:
         for i in range(workers):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(fn, jobs, slice(i, None, workers), w)
+                _work(fn, jobs, i, workers, slots, w)
             os.close(w)
-            children.append((pid, r))
-        replies = []
-        for pid, r in children:
-            with open(r, "rb", closefd=False) as fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped.add(pid)
-            if code or not data:
-                how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-                raise QkError(f"worker process {pid} ended with {how} without a result")
-            replies.append(data)
+            live[r] = (i, pid, [])
+        while live:
+            for r in select.select(list(live), [], [])[0]:
+                if r not in live:  # stopped earlier in this pass
+                    continue
+                data = os.read(r, 1 << 16)
+                if data:
+                    live[r][2].append(data)
+                    continue
+                i, pid, reply = live.pop(r)
+                os.close(r)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code or not reply:
+                    how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                    raise QkError(f"worker process {pid} ended with {how} without a result")
+                done, failed = pickle.loads(b"".join(reply))
+                # worker i ran jobs i, i + w, ... up to, not including, job end
+                end = i + workers * len(done)
+                results[i:end:workers] = done
+                if failed is not None and end < slots[workers]:
+                    error, slots[workers] = failed, end
+                    for other in [o for o, (j, *_) in live.items() if slots[j] > end]:
+                        stop(other)
     finally:
-        for pid, r in children:
-            os.close(r)
-            if pid not in reaped:  # this process is failing: stop the rest
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    results = [None] * len(jobs)
-    first = None  # (job number, exception) of the failure first in input order
-    for i, (done, failed) in enumerate(map(pickle.loads, replies)):
-        # worker i ran jobs i, i + w, ... up to, not including, job stop
-        stop = i + workers * len(done)
-        results[i:stop:workers] = done
-        if failed is not None and (first is None or stop < first[0]):
-            first = (stop, failed)
-    if first is not None:
-        raise first[1]
+        for r in list(live):  # this process is failing: stop the rest
+            stop(r)
+    if error is not None:
+        raise error
     return results
 
 
-def _work(fn, jobs, mine: slice, out: int) -> None:
-    """A worker's life: run jobs[mine] in order, stopping at the
-    first that raises, write (results, failure) to out, then exit.
-    os._exit skips the parent's atexit handlers and never flushes stdio
-    buffers the worker inherited."""
+def _work(fn, jobs, i: int, workers: int, slots, out: int) -> None:
+    """A worker's life: run jobs i, i + workers, ... in order, stopping at
+    the first that raises or at the first above slots[workers], write
+    (results, failure) to out, then exit.  os._exit skips the parent's
+    atexit handlers and never flushes stdio buffers the worker inherited."""
     import pickle
 
     status = 1
     try:
         done, failed = [], None
-        for job in jobs[mine]:
+        for j in range(i, len(jobs), workers):
+            slots[i] = j  # before the check: the parent writes a failure, then reads this
+            if j > slots[workers]:
+                break
             try:
-                done.append(fn(job))
+                done.append(fn(jobs[j]))
             except Exception as exc:
                 failed = exc
                 break

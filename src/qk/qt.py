@@ -18,7 +18,7 @@ import random
 
 from .base import FORWARD, RANDOM, Record
 from .digraph import Digraph, bfs, build
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, QkError
 
 DEFAULT_ENUM_CAP = 64
 
@@ -38,7 +38,14 @@ def mix_seed(*parts: int) -> int:
 
 
 def enum_cap() -> int:
-    return int(os.environ.get("QK_ENUM_CAP", str(DEFAULT_ENUM_CAP)))
+    """QK_ENUM_CAP, read as ASCII digits ([0-9]+), or DEFAULT_ENUM_CAP
+    when it is unset.  int() alone would also take ' 12', '+3' and '1_0'."""
+    text = os.environ.get("QK_ENUM_CAP")
+    if text is None:
+        return DEFAULT_ENUM_CAP
+    if not (text.isascii() and text.isdigit()):
+        raise QkError(f"QK_ENUM_CAP must be a count of vertices ([0-9]+), got {text!r}")
+    return int(text)
 
 
 def _require_enumerable(n: int) -> None:

@@ -426,6 +426,17 @@ class TestUsageAndErrors:
         assert code == 3
         assert f"{p}: line 1: header announces {MAX_VERTICES + 1} vertices" in err
 
+    @pytest.mark.parametrize("cap", ["abc", " 12", "1_0"])
+    def test_malformed_enum_cap_names_the_variable(self, capsys, monkeypatch, d4_file, cap):
+        # int() once read " 12" and "1_0" as caps, and "abc" as a bare
+        # "invalid literal for int()"
+        monkeypatch.setenv("QK_ENUM_CAP", cap)
+        code = main(["check", d4_file, "--k", "4"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"qk: error: QK_ENUM_CAP must be a count of vertices ([0-9]+), got {cap!r}\n"
+        )
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])

@@ -1,5 +1,6 @@
-"""qk.fanout: results and errors equal to the serial loop, no child left
-behind, the serial path on one CPU, and the errors it carries back."""
+"""qk.fanout: results and errors equal to the serial loop, no job past the
+first failure, no child left behind, the serial path on one CPU, and the
+errors it carries back."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import inspect
 import json
 import os
 import pickle
+import random
 import signal
 import subprocess
 import sys
@@ -16,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import qk
-from qk import errors, fanout
+from qk import checks, errors, fanout
+from qk.checks import KING_CHECKS, LEMMA_CHECKS, kings_corpus, lemma_corpus, run_checker, run_suite
 from qk.cli import main
 from qk.kernels import hunt_conjecture
 
@@ -37,6 +40,12 @@ def deadline():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def two_workers(monkeypatch, deadline):
+    """Fork two workers whatever the host allows."""
+    monkeypatch.setattr(fanout, "cpus", lambda: 2)
 
 
 @pytest.fixture
@@ -145,6 +154,72 @@ class TestForked:
         assert_no_children()
 
 
+class TestCancel:
+    """No job runs past the first failure known, and no earlier job's
+    error is lost to the stopping."""
+
+    def test_failure_kills_a_later_job(self, two_workers):
+        def job(j):
+            if j == 0:
+                raise ValueError("A")
+            time.sleep(3600)
+
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^A$"):
+            fanout.fan_out(job, range(2))
+        assert time.perf_counter() - t0 < 10
+        assert_no_children()
+
+    def test_slower_earlier_failure_wins(self, two_workers):
+        def job(j):
+            if j == 0:
+                time.sleep(0.5)
+                raise ValueError("A")
+            raise ValueError("B")
+
+        with pytest.raises(ValueError, match=r"^A$"):
+            fanout.fan_out(job, range(2))
+        assert_no_children()
+
+    def test_no_job_starts_past_a_failure(self, two_workers, tmp_path):
+        started = tmp_path / "started"
+
+        def job(j):
+            if j == 0:
+                time.sleep(0.5)
+                return j
+            if j == 1:
+                raise ValueError("B")
+            started.write_text(str(j))
+            time.sleep(3600)
+
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^B$"):
+            fanout.fan_out(job, range(3))
+        assert time.perf_counter() - t0 < 10
+        assert not started.exists()
+        assert_no_children()
+
+
+    def test_first_failure_wins_with_more_workers_than_cpus(self, monkeypatch, deadline):
+        monkeypatch.setattr(fanout, "cpus", lambda: 5)
+        rng = random.Random(7)
+        for _ in range(20):
+            failing = set(rng.sample(range(60), 3))
+            delays = [rng.random() / 500 for _ in range(60)]
+
+            def job(j):
+                time.sleep(delays[j])
+                if j in failing:
+                    raise ValueError(j)
+                return j
+
+            with pytest.raises(ValueError) as info:
+                fanout.fan_out(job, range(60))
+            assert info.value.args == (min(failing),)
+        assert_no_children()
+
+
 @pytest.mark.parametrize("jobs", [range(0), range(1), range(5, 50, 3), range(40, 0, -1), (4, 1, 9)],
                          ids=repr)
 def test_sequence_read_as_given_on_one_two_and_three_workers(monkeypatch, deadline, jobs):
@@ -171,6 +246,48 @@ def test_hunt_ledger_alike_on_one_two_and_three_workers(monkeypatch, deadline, t
         ce.trial for ce in serial.counterexamples
     )
     assert serial.refuted == (trials > 0)
+
+
+def without_elapsed(results):
+    return [(r.check_id, r.k, r.instances_checked, r.fired, r.violations) for r in results]
+
+
+def whole_corpus_results(k_values, kings_trials, lemma_trials, base_seed=1789):
+    """run_suite as one run_checker call per checker over each whole corpus."""
+    out = []
+    for k in k_values:
+        lemmas = lemma_corpus(k, trials=lemma_trials, base_seed=base_seed)
+        kings = kings_corpus(k, trials=kings_trials, base_seed=base_seed)
+        out += [run_checker(check_id, k, lemmas) for check_id in LEMMA_CHECKS]
+        out += [run_checker(check_id, k, kings) for check_id in KING_CHECKS]
+    return without_elapsed(out)
+
+
+@pytest.mark.parametrize("lemma_trials", [1, 7, 13])
+def test_suite_alike_on_one_two_and_three_workers(monkeypatch, deadline, lemma_trials):
+    # the k list repeats a value: the chunks merge back by position, not by k
+    whole = whole_corpus_results((2, 3, 2), 8, lemma_trials)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fanout, "cpus", lambda: workers)
+        results = run_suite(k_values=(2, 3, 2), kings_trials=8, lemma_trials=lemma_trials)
+        assert without_elapsed(results) == whole
+    assert_no_children()
+
+
+def test_violations_keep_their_index_in_the_whole_corpus(monkeypatch, deadline):
+    def odd_order(d, k):
+        return True, [("odd", (d.n,), "")] if d.n % 2 else []
+
+    flagged = [i for i, d in enumerate(lemma_corpus(2, trials=13)) if d.n % 2]
+    assert len({i // checks.CHUNK for i in flagged}) >= 2
+    monkeypatch.setitem(checks.CHECKERS, "degree-growth", odd_order)
+    for workers in (1, 2):
+        monkeypatch.setattr(fanout, "cpus", lambda: workers)
+        results = run_suite(k_values=(2,), kings_trials=4, lemma_trials=13, base_seed=355)
+        (growth,) = [r for r in results if r.check_id == "degree-growth"]
+        assert [v.instance for v in growth.violations] == flagged
+        assert growth.fired == 13
+    assert_no_children()
 
 
 class TestSerial:
@@ -227,6 +344,23 @@ def test_repeated_k_values_stay_in_order(capsys, monkeypatch, deadline):
     out = capsys.readouterr().out
     ks = [r["k"] for r in json.loads(out)["result"]["results"]]
     assert ks == [2] * 9 + [3] * 9 + [2] * 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "--k-list", "30,25", "--trials", "6"],
+    ["lemmas", "--k-list", "30", "--trials", "12"],
+])
+def test_parallel_failure_stops_as_fast_as_the_serial_run(capsys, monkeypatch, deadline, argv):
+    # a worker dealt a later job (the k = 25 corpus, or trials 6..11 at
+    # k = 30) once ran for minutes after the first job had failed
+    monkeypatch.setattr(fanout, "cpus", lambda: 1)
+    assert main(argv) == 3
+    serial = capsys.readouterr()
+    monkeypatch.setattr(fanout, "cpus", lambda: 2)
+    assert main(argv) == 3
+    assert capsys.readouterr() == serial
+    assert serial.err == "qk: error: instance with n=65 exceeds enumeration cap 64\n"
+    assert_no_children()
 
 
 def test_failing_corpus_exits_3_with_the_serial_message():

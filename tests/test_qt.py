@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 from instances import chorded_path, complete, cycle, d4, long_tournament, path
-from qk import INF, InstanceTooLarge, build, reverse
+from qk import INF, InstanceTooLarge, QkError, build, reverse
 from qk import qt
 from qk.edgelist import emit
 from qk.qt import (
@@ -101,6 +101,13 @@ class TestRecognition:
         monkeypatch.setenv("QK_ENUM_CAP", "3")
         with pytest.raises(InstanceTooLarge):
             is_k_quasi_transitive(d4(), 2)
+
+    @pytest.mark.parametrize("text", ["", "abc", " 12", "12 ", "1_0", "+3", "-1", "\u0661"])
+    def test_cap_reads_only_ascii_digits(self, monkeypatch, text):
+        monkeypatch.setenv("QK_ENUM_CAP", text)
+        with pytest.raises(QkError, match=r"^QK_ENUM_CAP must be a count of vertices") as info:
+            is_k_quasi_transitive(d4(), 2)
+        assert repr(text) in str(info.value)
 
     @given(st.data())
     @settings(max_examples=60)
