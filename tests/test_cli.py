@@ -600,6 +600,14 @@ RAW_JSON_PINS = {
         ("kings", "LT40", "--k", "4", "--census"), 0,
         "693d50092299c261be8de497edef0dd3c82d639ea788d9ffbcf59d2f1f82dfac",
     ),
+    "census-lt40-k3": (
+        ("kings", "LT40", "--k", "3", "--census"), 0,
+        "205cbc9089af720887cc435ebef5baae53107dfbb4f973e05f2c98d37883d821",
+    ),
+    "census-lt40-k5": (
+        ("kings", "LT40", "--k", "5", "--census"), 0,
+        "86c0761488fe29398f1c904eb492cb599fe60793029b523f113dceb23b47f923",
+    ),
     "construct-lt40": (
         ("kernel", "LT40", "--k", "4", "--construct"), 0,
         "903974f683c3a8fe773c85ceb880e8643db0636e78c066a802fd38982398ec1f",
