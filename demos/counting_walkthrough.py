@@ -37,9 +37,14 @@ for size in sorted(by_size):
 print("\nreading the rows:")
 print(" - small-component-exact:   |C| <= k forces exactly |C| (k-1)-kings")
 print(" - boundary-exact:          |C| = k+1 forces exactly k+1 k-kings")
-print(" - large-component-bound:   |C| >= k+2 forces at least k+2 (k+1)-kings")
+print(" - large-component-bound:   |C| >= k+2 and k >= 4 force at least k+2 (k+1)-kings")
+print(" - large-component-plus-one: the same case, logging the (k+1)-king count (info)")
 print(" - quasi-transitive-four/-seven: the k=2 sharpenings (>= 4 3-kings,")
 print("   and >= 7 when no 2-king exists)")
+print(" - even-/odd-disjunction:    k >= 3: all of C are (k+1)-kings, or a 2-king and")
+print("   two 3-kings exist (even k), or C has a 3-king or four 4-kings exist (odd k)")
+print(" - degree-max-king:          listed only when the max out-degree vertex of C")
+print("   is not a (k+1)-king")
 
 example_size = max(by_size)
 rep = by_size[example_size][0]

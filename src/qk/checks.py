@@ -26,7 +26,7 @@ import time
 from .base import Record
 from .digraph import Digraph, INF, build, distances_from
 from .errors import NotQuasiTransitiveInput
-from .kings import census, degree_threshold_vertices, find_kplus1_king_fast
+from .kings import census, degree_step, degree_threshold_vertices, final_disjunction, find_kplus1_king_fast
 from .kernels import construct_kplus2_kernel
 from .qt import FORWARD, GenConfig, mix_seed, qt_closure, random_qt
 
@@ -162,7 +162,7 @@ def check_degree_growth(d: Digraph, k: int):
     n = d.n
     fired = False
     out = []
-    step = k if k % 2 == 0 else (k - 1) // 2
+    step = degree_step(k)
     for u in range(n):
         for v in range(n):
             if dm[u][v] != k + 2:
@@ -243,52 +243,30 @@ def check_king_theorems(d: Digraph, k: int):
                         ))
 
     comp = d.cond.initial_component
-    if comp is not None:
-        all_c = all(ecc[x] <= k + 1 for x in comp)
-        triple_applies = (k % 2 == 0 and k >= 4) or k % 2 == 1
-        if triple_applies and not all_c:
-            fired = True
-            u3_radius = 2 if k % 2 == 0 else 4
-            ok = False
-            for u2 in comp:
-                if ecc[u2] > k + 2:
-                    continue
-                if not any(d.has_arc(u2, u1) and ecc[u1] <= k + 1 for u1 in comp):
-                    continue
-                if not any(dm[u2][u3] == k + 2 and ecc[u3] <= u3_radius for u3 in comp):
-                    continue
-                if all(ecc[w] <= small for w in range(n) if dm[u2][w] == k + 2):
-                    ok = True
-                    break
-            if not ok:
-                out.append((
-                    "king-triple",
-                    tuple(comp),
-                    "no (k+2)-king in the initial component with a "
-                    "dominated (k+1)-king and a small king at distance k+2",
-                ))
-        if k % 2 == 0 and k >= 4:
-            if not all_c:
-                fired = True
-                two = sum(1 for x in range(n) if ecc[x] <= 2)
-                three = sum(1 for x in range(n) if ecc[x] <= 3)
-                if not (two >= 1 and three >= 2):
-                    out.append((
-                        "final-disjunction",
-                        (two, three),
-                        f"not all of C are (k+1)-kings yet only {two} 2-kings / {three} 3-kings",
-                    ))
-        if k % 2 == 1:
-            if not all_c:
-                fired = True
-                three_in_c = any(ecc[x] <= 3 for x in comp)
-                four = sum(1 for x in range(n) if ecc[x] <= 4)
-                if not (three_in_c or four >= 4):
-                    out.append((
-                        "final-disjunction",
-                        (three_in_c, four),
-                        f"no 3-king in C and only {four} 4-kings",
-                    ))
+    if comp is not None and k >= 3 and not all(ecc[x] <= k + 1 for x in comp):
+        fired = True
+        u3_radius = 2 if k % 2 == 0 else 4
+        ok = False
+        for u2 in comp:
+            if ecc[u2] > k + 2:
+                continue
+            if not any(d.has_arc(u2, u1) and ecc[u1] <= k + 1 for u1 in comp):
+                continue
+            if not any(dm[u2][u3] == k + 2 and ecc[u3] <= u3_radius for u3 in comp):
+                continue
+            if all(ecc[w] <= small for w in range(n) if dm[u2][w] == k + 2):
+                ok = True
+                break
+        if not ok:
+            out.append((
+                "king-triple",
+                tuple(comp),
+                "no (k+2)-king in the initial component with a "
+                "dominated (k+1)-king and a small king at distance k+2",
+            ))
+        row, witness, detail = final_disjunction(k, comp, ecc)
+        if not row.passed:
+            out.append(("final-disjunction", witness, detail))
 
     for u in range(n):
         if ecc[u] > k + 1:

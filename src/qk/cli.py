@@ -164,9 +164,14 @@ def _cmd_kings(args) -> int:
     from .kings import all_r_kings, census, find_kplus1_king_fast
 
     d = read_digraph(args.file)
+    if args.checked:
+        from .qt import certify_qt
+
+        if not certify_qt(d, args.k):
+            raise NotQuasiTransitiveInput(f"input is not {args.k}-quasi-transitive")
     digest = content_digest(d)
     if args.census:
-        rep = census(d, args.k, checked=args.checked)
+        rep = census(d, args.k)
         failed = rep.failed_audits
         lines = [f"out-eccentricities: {list(rep.ecc_out)}"]
         for r in sorted(rep.kings_by_radius):
@@ -416,8 +421,9 @@ def build_parser() -> _Parser:
     add("check", _cmd_check, "recognize k-quasi-transitivity")
 
     kings = add("kings", _cmd_kings, "list (k+1)-kings, find one fast, or run the full census")
-    kings.add_argument("--fast", action="store_true", help="degree-based (k+1)-king finder")
-    kings.add_argument("--census", action="store_true", help="eccentricities, king sets, counting audits")
+    mode = kings.add_mutually_exclusive_group()
+    mode.add_argument("--fast", action="store_true", help="degree-based (k+1)-king finder")
+    mode.add_argument("--census", action="store_true", help="eccentricities, king sets, counting audits")
     kings.add_argument("--checked", action="store_true", help="verify the input is k-quasi-transitive first")
 
     kernel = add("kernel", _cmd_kernel, "construct, verify, or exhaustively search kernels")

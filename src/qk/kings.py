@@ -24,7 +24,8 @@ def all_r_kings(d: Digraph, r: float) -> tuple[int, ...]:
     return tuple(v for v, e in enumerate(d.ecc) if e <= r)
 
 
-def _threshold(k: int) -> int:
+def degree_step(k: int) -> int:
+    """The parity degree step: k for even k, (k-1)/2 for odd k."""
     return k if k % 2 == 0 else (k - 1) // 2
 
 
@@ -57,7 +58,7 @@ def degree_threshold_vertices(d: Digraph, k: int) -> tuple[int, ...]:
     if comp is None:
         return ()
     degs = _component_out_degrees(d.masks, comp)
-    cutoff = max(degs.values()) - _threshold(k)
+    cutoff = max(degs.values()) - degree_step(k)
     return tuple(sorted(v for v, dv in degs.items() if dv > cutoff))
 
 
@@ -112,8 +113,38 @@ class KingReport(Record):
         return tuple(row for row in self.counting_audit if row.passed is False)
 
 
+def final_disjunction(
+    k: int, comp: tuple[int, ...], ecc: tuple[float, ...]
+) -> tuple[AuditRow, tuple, str]:
+    """The final disjunction for k >= 3 on the unique initial component
+    comp: all of it are (k+1)-kings, or a 2-king and two 3-kings exist
+    (even k), or comp has a 3-king or four 4-kings exist (odd k).
+
+    Returns the census row and the witness and detail that the
+    king-theorems checker reports when the row fails."""
+    all_c = all(ecc[v] <= k + 1 for v in comp)
+    if k % 2 == 0:
+        two = sum(1 for e in ecc if e <= 2)
+        three = sum(1 for e in ecc if e <= 3)
+        row = AuditRow(
+            tag="even-disjunction",
+            expected="all of C are (k+1)-kings, or a 2-king and two 3-kings exist",
+            observed=f"all_C={all_c} kings2={two} kings3={three}",
+            passed=all_c or (two >= 1 and three >= 2),
+        )
+        return row, (two, three), f"not all of C are (k+1)-kings yet only {two} 2-kings / {three} 3-kings"
+    three_in_c = any(ecc[v] <= 3 for v in comp)
+    four = sum(1 for e in ecc if e <= 4)
+    row = AuditRow(
+        tag="odd-disjunction",
+        expected="all of C are (k+1)-kings, or C has a 3-king, or four 4-kings exist",
+        observed=f"all_C={all_c} three_in_C={three_in_c} kings4={four}",
+        passed=all_c or three_in_c or four >= 4,
+    )
+    return row, (three_in_c, four), f"no 3-king in C and only {four} 4-kings"
+
+
 def _audit_rows(
-    d: Digraph,
     k: int,
     comp: tuple[int, ...],
     kings: dict[int, tuple[int, ...]],
@@ -140,8 +171,7 @@ def _audit_rows(
                 passed=len(kings[k]) == k + 1,
             )
         )
-    bound_applies = (k % 2 == 0 and k >= 4) or (k % 2 == 1 and k >= 5)
-    if n_c >= k + 2 and bound_applies:
+    if n_c >= k + 2 and k >= 4:
         found = len(kings[k + 1])
         rows.append(
             AuditRow(
@@ -178,50 +208,22 @@ def _audit_rows(
                     passed=len(kings[3]) >= 7,
                 )
             )
-    all_c_kings = all(ecc[v] <= k + 1 for v in comp)
-    if k % 2 == 0 and k >= 4:
-        ok = all_c_kings or (len(kings[2]) >= 1 and len(kings[3]) >= 2)
-        rows.append(
-            AuditRow(
-                tag="even-disjunction",
-                expected="all of C are (k+1)-kings, or a 2-king and two 3-kings exist",
-                observed=f"all_C={all_c_kings} kings2={len(kings[2])} kings3={len(kings[3])}",
-                passed=ok,
-            )
-        )
-    if k % 2 == 1:
-        three_in_c = any(ecc[v] <= 3 for v in comp)
-        ok = all_c_kings or three_in_c or len(kings[4]) >= 4
-        rows.append(
-            AuditRow(
-                tag="odd-disjunction",
-                expected="all of C are (k+1)-kings, or C has a 3-king, or four 4-kings exist",
-                observed=(
-                    f"all_C={all_c_kings} three_in_C={three_in_c} kings4={len(kings[4])}"
-                ),
-                passed=ok,
-            )
-        )
+    if k >= 3:
+        rows.append(final_disjunction(k, comp, ecc)[0])
     return rows
 
 
-def census(d: Digraph, k: int, checked: bool = False) -> KingReport:
+def census(d: Digraph, k: int) -> KingReport:
     """Eccentricities, r-kings for r in 1..k+2, and counting-theorem audits.
 
     Audits never abort the census; a failing row is the most valuable output
     (either a library defect or a genuine counterexample) and is left for
-    the caller to surface.  checked=True first certifies the
-    k-quasi-transitivity precondition and raises NotQuasiTransitiveInput.
+    the caller to surface.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if d.n == 0:
         raise ValueError("census needs at least one vertex")
-    if checked:
-        from .qt import certify_qt
-
-        if not certify_qt(d, k):
-            raise NotQuasiTransitiveInput(f"input is not {k}-quasi-transitive")
     ecc = d.ecc
     kings = {r: tuple(v for v in range(d.n) if ecc[v] <= r) for r in range(1, k + 3)}
     comp = d.cond.initial_component
@@ -240,7 +242,7 @@ def census(d: Digraph, k: int, checked: bool = False) -> KingReport:
                     passed=False,
                 )
             )
-        rows.extend(_audit_rows(d, k, comp, kings, ecc))
+        rows.extend(_audit_rows(k, comp, kings, ecc))
     dmax_global = d.max_out_degree()
     return KingReport(
         k=k,

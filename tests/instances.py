@@ -55,3 +55,16 @@ def long_tournament(n: int) -> Digraph:
 def two_cycles() -> Digraph:
     """Two disjoint digons: two initial components, so no king of any radius."""
     return build(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+
+
+def no_two_king_blowup() -> Digraph:
+    """long_tournament(5) with each of its 2-kings (2, 3, 4) replaced by two
+    non-adjacent vertices (2-3, 4-5, 6-7).
+
+    Quasi-transitive, with no 2-king and exactly seven 3-kings.
+    """
+    return build(8, [
+        (0, 1), (1, 2), (1, 3), (2, 0), (2, 4), (2, 5), (3, 0), (3, 4), (3, 5),
+        (4, 0), (4, 1), (4, 6), (4, 7), (5, 0), (5, 1), (5, 6), (5, 7),
+        (6, 0), (6, 1), (6, 2), (6, 3), (7, 0), (7, 1), (7, 2), (7, 3),
+    ])

@@ -123,6 +123,29 @@ class TestKings:
         code = main(["kings", str(p), "--k", "2", "--census", "--checked"])
         assert code == 3
 
+    @pytest.mark.parametrize("mode", [(), ("--fast",), ("--census",)], ids=["list", "fast", "census"])
+    def test_checked_mode_rejects(self, capsys, tmp_path, mode):
+        # --checked certifies the input before any mode runs; the bare
+        # list and --fast once ignored it and answered on a plain path
+        p = tmp_path / "p4.edges"
+        write_digraph(str(p), path(4))
+        code = main(["kings", str(p), "--k", "2", "--checked", *mode])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "qk: error: input not quasi-transitive: input is not 2-quasi-transitive\n"
+
+    @pytest.mark.parametrize("mode", [(), ("--fast",), ("--census",)], ids=["list", "fast", "census"])
+    def test_checked_mode_accepts(self, capsys, d4_file, mode):
+        code, out = run(capsys, "kings", d4_file, "--k", "4", "--checked", *mode)
+        assert (code, out) == run(capsys, "kings", d4_file, "--k", "4", *mode)
+        assert code == 0
+
+    def test_fast_and_census_are_exclusive(self, capsys, d4_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["kings", d4_file, "--k", "4", "--fast", "--census"])
+        assert exc.value.code == 3
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_census_json_has_inf_as_null(self, capsys, d4_file):
         code, doc = run_json(capsys, "kings", d4_file, "--k", "4", "--census")
         assert code == 0

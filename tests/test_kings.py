@@ -4,17 +4,28 @@ import pytest
 from hypothesis import given, settings
 
 import bruteforce
-from instances import chorded_path, complete, cycle, d4, long_tournament, path, two_cycles
+from instances import (
+    chorded_path,
+    complete,
+    cycle,
+    d4,
+    long_tournament,
+    no_two_king_blowup,
+    path,
+    two_cycles,
+)
 from qk import INF, Digraph, build, distances_from
+from qk.checks import check_king_theorems
 from qk.errors import NotQuasiTransitiveInput, VertexOutOfRange
 from qk.kings import (
     all_r_kings,
     census,
     degree_threshold_vertices,
+    final_disjunction,
     find_kplus1_king_fast,
     max_degree_vertex,
 )
-from qk.qt import GenConfig, random_qt
+from qk.qt import GenConfig, certify_qt, random_qt
 from strategies import digraphs
 
 
@@ -120,7 +131,8 @@ class TestFastFinder:
         assert d.cond.initial_component == (0, 1, 2)
         assert max_degree_vertex(d.masks, (0, 1, 2)) == 1
         assert find_kplus1_king_fast(d, 4) == 1
-        assert census(d, 4, checked=True).fast_king == 1
+        assert certify_qt(d, 4)
+        assert census(d, 4).fast_king == 1
 
     def test_threshold_vertices_chorded_path(self):
         # cutoff = max_degree - k = 2 - 2 = 0, so every vertex with an
@@ -160,14 +172,10 @@ class TestCensus:
 
     def test_no_two_king_blowup(self):
         # replace every 2-king of the strong 5-tournament long_tournament(5)
-        # (vertices 2, 3, 4) by two non-adjacent vertices (2-3, 4-5, 6-7):
-        # the result is quasi-transitive, has no 2-king, and gets exactly
-        # seven 3-kings
-        d = build(8, [
-            (0, 1), (1, 2), (1, 3), (2, 0), (2, 4), (2, 5), (3, 0), (3, 4), (3, 5),
-            (4, 0), (4, 1), (4, 6), (4, 7), (5, 0), (5, 1), (5, 6), (5, 7),
-            (6, 0), (6, 1), (6, 2), (6, 3), (7, 0), (7, 1), (7, 2), (7, 3),
-        ])
+        # by two non-adjacent vertices: the result is quasi-transitive, has
+        # no 2-king, and gets exactly seven 3-kings
+        d = no_two_king_blowup()
+        assert certify_qt(d, 2)
         rep = census(d, 2)
         assert rep.kings_by_radius[2] == ()
         assert rep.kings_by_radius[3] == (1, 2, 3, 4, 5, 6, 7)
@@ -190,13 +198,6 @@ class TestCensus:
         assert rep.initial_component is None
         assert rep.fast_king is None
         assert rep.counting_audit == ()
-
-    def test_checked_mode_rejects(self):
-        with pytest.raises(NotQuasiTransitiveInput):
-            census(path(4), 2, checked=True)
-
-    def test_checked_mode_accepts(self):
-        assert census(d4(), 4, checked=True).fast_king == 0
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
@@ -224,3 +225,35 @@ class TestCensus:
                 d = random_qt(GenConfig(n=7, k=k, arc_prob=0.25, seed=seed))
                 rep = census(d, k)
                 assert not rep.failed_audits, (k, seed, rep.failed_audits)
+
+
+class TestSharpness:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_long_tournament_has_exactly_k_plus_2_kings(self, k):
+        # the headline bound is attained: the long tournament is strong and
+        # k-quasi-transitive, not all of it are (k+1)-kings, and exactly
+        # k+2 of its vertices are
+        for m in range(k + 3, k + 6):
+            d = long_tournament(m)
+            assert certify_qt(d, k), (k, m)
+            assert len(d.cond.components) == 1, (k, m)
+            assert len(all_r_kings(d, k + 1)) == k + 2 < m, (k, m)
+            if k >= 3:
+                row = census(d, k).counting_audit[-1]
+                assert row.tag.endswith("-disjunction"), (k, m)
+                assert row.passed and row.observed.startswith("all_C=False "), (k, m)
+
+
+class TestFinalDisjunction:
+    @pytest.mark.parametrize("k, tag, witness, detail", [
+        (3, "odd-disjunction", (False, 0), "no 3-king in C and only 0 4-kings"),
+        (4, "even-disjunction", (0, 0), "not all of C are (k+1)-kings yet only 0 2-kings / 0 3-kings"),
+    ])
+    def test_census_and_checker_share_the_clause(self, k, tag, witness, detail):
+        # path(7): C = {0} has eccentricity 6 > k+1, and no vertex is a 4-king
+        d = path(7)
+        row = census(d, k).counting_audit[-1]
+        assert (row.tag, row.passed) == (tag, False)
+        assert final_disjunction(k, d.cond.initial_component, d.ecc) == (row, witness, detail)
+        _, found = check_king_theorems(d, k)
+        assert ("final-disjunction", witness, detail) in found
