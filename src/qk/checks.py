@@ -24,7 +24,7 @@ import random as _random
 import time
 
 from .base import Record
-from .digraph import Digraph, INF, build, distances_from
+from .digraph import Digraph, INF, build
 from .errors import NotQuasiTransitiveInput
 from .kings import census, degree_step, degree_threshold_vertices, final_disjunction, find_kplus1_king_fast
 from .kernels import construct_kplus2_kernel
@@ -70,18 +70,16 @@ def check_component_domination(d: Digraph, k: int):
     """If one strong component reaches another, every cross pair sits at
     distance <= k-1."""
     dm = d.dist
-    cond = d.cond
-    m = len(cond.components)
+    comps = d.cond.components
     fired = False
     out = []
-    for i in range(m):
-        reach_row = distances_from(cond.dag, i)
-        for j in range(m):
-            if i == j or reach_row[j] is INF:
+    for i, ci in enumerate(comps):
+        for j, cj in enumerate(comps):
+            if i == j or dm[ci[0]][cj[0]] is INF:
                 continue
             fired = True
-            for u in cond.components[i]:
-                for v in cond.components[j]:
+            for u in ci:
+                for v in cj:
                     if dm[u][v] > k - 1:
                         out.append((
                             "cross-distance",
@@ -431,7 +429,8 @@ def kings_corpus(
 
 def _interesting(d: Digraph, k: int, want: int) -> bool:
     if want == 1:
-        return d.cond.dag.arc_count > 0
+        cond = d.cond
+        return len(cond.terminal) < len(cond.components)
     if want == 0:
         return k + 2 in d.ecc
     return any(k + 2 <= x < INF for row in d.dist for x in row)

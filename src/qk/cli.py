@@ -223,6 +223,8 @@ def _cmd_kernel(args) -> int:
     from .edgelist import content_digest, read_digraph
     from .kernels import construct_kplus2_kernel, exhaustive_kernel_search, verify_kernel
 
+    if args.construct and (args.indep is not None or args.absorb is not None):
+        raise QkError("--construct builds the (k+2, k+1)-kernel; it takes no --indep or --absorb")
     d = read_digraph(args.file)
     digest = content_digest(d)
     if args.construct:

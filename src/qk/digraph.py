@@ -17,7 +17,8 @@ once, on first use, and keeps it:
 - `dist`, the all-pairs distance rows (`distance_matrix`);
 - `ecc`, the out-eccentricities, one BFS per vertex; each row is dropped
   as soon as its maximum is taken, so `ecc` never holds the n x n matrix;
-- `cond`, the strong components and condensation (`strong_components`).
+- `cond`, the strong components and which of them are initial or
+  terminal (`strong_components`, two bitmask passes).
 
 Unreachable distances are the float sentinel INF (math.inf), never a large
 finite number: the structural results implemented elsewhere branch on
@@ -56,15 +57,7 @@ class Digraph:
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbours of each vertex, ascending."""
         if self._adj is None:
-            adj = []
-            for row in self.masks:
-                out = []
-                while row:
-                    low = row & -row
-                    out.append(low.bit_length() - 1)
-                    row ^= low
-                adj.append(tuple(out))
-            self._adj = tuple(adj)
+            self._adj = tuple(_bits(row) for row in self.masks)
         return self._adj
 
     @property
@@ -96,7 +89,7 @@ class Digraph:
 
     @property
     def cond(self) -> Condensation:
-        """Strong components and condensation DAG."""
+        """Strong components and their initial/terminal sets."""
         if self._cond is None:
             self._cond = strong_components(self)
         return self._cond
@@ -168,6 +161,16 @@ def reverse(d: Digraph) -> Digraph:
     return Digraph(d.n, d.pred)
 
 
+def _bits(row: int) -> tuple[int, ...]:
+    """The set bits of row, ascending."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return tuple(out)
+
+
 def distances_from(d: Digraph, s: int) -> list[float]:
     """BFS hop counts from s; unreachable vertices get INF."""
     if not (0 <= s < d.n):
@@ -208,16 +211,16 @@ def distance_matrix(d: Digraph) -> tuple[tuple[float, ...], ...]:
 
 
 class Condensation(Record):
-    """Strong components of a digraph plus its condensation DAG.
+    """Strong components of a digraph and which of them are initial or
+    terminal.
 
     components are numbered by smallest contained vertex id, so the
-    decomposition is deterministic.  initial components have in-degree 0 in
-    the dag, terminal components out-degree 0.
+    decomposition is deterministic; each lists its vertices ascending.  A
+    component is initial when no arc enters it from outside, and terminal
+    when no arc leaves it.
     """
 
-    component_of: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    dag: Digraph
     initial: frozenset[int]
     terminal: frozenset[int]
 
@@ -231,78 +234,61 @@ class Condensation(Record):
         return self.components[idx]
 
 
-def _tarjan_components(d: Digraph) -> list[list[int]]:
-    """Iterative Tarjan SCC; each component's vertex list is unsorted."""
-    n = d.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            row = d.adj[v]
-            for i in range(ptr, len(row)):
-                w = row[i]
-                if index[w] == -1:
-                    work[-1][1] = i + 1
-                    work.append([w, 0])
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp: list[int] = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-    return comps
-
-
 def strong_components(d: Digraph) -> Condensation:
-    """Strong components, condensation DAG and initial/terminal sets; read
-    it as `d.cond`."""
-    raw = _tarjan_components(d)
-    comps = sorted((tuple(sorted(c)) for c in raw), key=lambda c: c[0])
-    comp_of = [0] * d.n
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    dag = [0] * len(comps)
-    for u, row in enumerate(d.adj):
-        cu = comp_of[u]
-        for v in row:
-            cv = comp_of[v]
-            if cu != cv:
-                dag[cu] |= 1 << cv
-    has_in = 0
-    for row in dag:
-        has_in |= row
-    initial = frozenset(i for i in range(len(comps)) if not has_in >> i & 1)
-    terminal = frozenset(i for i, row in enumerate(dag) if not row)
-    return Condensation(
-        tuple(comp_of), tuple(comps), Digraph(len(comps), tuple(dag)), initial, terminal
-    )
+    """Strong components and the initial/terminal sets by Kosaraju's two
+    passes over the bitmask rows; read it as `d.cond`.
+
+    Pass 1 is a depth-first search over the successor rows that records
+    the finish order; pass 2 takes the vertices in reverse finish order and
+    gives each one not yet placed the unplaced vertices that reach it, by a
+    BFS over the predecessor rows.  Each pass enters a vertex once, so the
+    cost is O(n) row operations whatever the arc count.
+    """
+    masks, pred = d.masks, d.pred
+    left = (1 << d.n) - 1
+    order: list[int] = []
+    while left:
+        low = left & -left
+        left ^= low
+        stack = [low.bit_length() - 1]
+        while stack:
+            step = masks[stack[-1]] & left
+            if step:
+                low = step & -step
+                left ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                order.append(stack.pop())
+    left = (1 << d.n) - 1
+    found = []
+    for root in reversed(order):
+        if not left >> root & 1:
+            continue
+        comp = frontier = 1 << root
+        left ^= frontier
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= pred[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & left
+            left ^= frontier
+            comp |= frontier
+        found.append(comp)
+    found.sort(key=lambda comp: comp & -comp)
+    comps = tuple(_bits(comp) for comp in found)
+    initial, terminal = [], []
+    for idx, (comp, verts) in enumerate(zip(found, comps)):
+        into = out = 0
+        for v in verts:
+            into |= pred[v]
+            out |= masks[v]
+        if not into & ~comp:
+            initial.append(idx)
+        if not out & ~comp:
+            terminal.append(idx)
+    return Condensation(comps, frozenset(initial), frozenset(terminal))
 
 
 def induced(d: Digraph, s) -> tuple[Digraph, dict[int, int]]:

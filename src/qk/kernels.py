@@ -72,14 +72,12 @@ def verify_kernel(d: Digraph, candidate, k: int, l: int) -> KernelCertificate:
                 break
         if not independent:
             break
-    # d(z, v) for all z at once, per member v: a BFS over the predecessor rows
-    into = {v: bfs(d.pred, 1 << v) for v in s}
+    # min over members v of d(z, v), for every z: one BFS over the
+    # predecessor rows from the whole set
+    into = bfs(d.pred, sum(1 << v for v in s))
     absorbent, abs_witness = True, None
-    members = set(s)
     for z in range(d.n):
-        if z in members:
-            continue
-        if not any(into[v][z] <= l for v in s):
+        if into[z] > l:
             absorbent, abs_witness = False, z
             break
     return KernelCertificate(

@@ -2,7 +2,7 @@
 
 Nothing here shares algorithmic code with the library: distances come from
 Floyd-Warshall instead of BFS, components from a reachability matrix instead
-of Tarjan, path/violation enumeration from raw vertex permutations, kernels
+of depth-first passes, path/violation enumeration from raw vertex permutations, kernels
 from a full power-set scan, the closure from a replayed pair scan that asks
 the permutation scan which pairs a k-arc path joins, and edge-list parsing
 from a two-pass reader that collects every arc before checking any.  Slow

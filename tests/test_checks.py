@@ -433,7 +433,7 @@ class TestRunSuite:
 
 class TestAnalysedOnce:
     """However many checkers read an instance, its distance matrix and its
-    condensation are computed once (they live on the Digraph)."""
+    strong components are computed once (they live on the Digraph)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):

@@ -240,6 +240,19 @@ class TestKernel:
             main(["kernel", d4_file, "--k", "2", "--construct", "--exhaustive"])
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize(
+        "radii", [("--indep", "9"), ("--absorb", "1"), ("--indep", "9", "--absorb", "1")],
+        ids=["indep", "absorb", "both"],
+    )
+    def test_construct_takes_no_radii(self, capsys, tmp_path, radii):
+        # --construct builds the (k+2, k+1)-kernel; radii given with it would be ignored
+        p = tmp_path / "cyc.edges"
+        write_digraph(str(p), cycle(3))
+        assert main(["kernel", str(p), "--k", "2", "--construct", *radii]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qk: error: --construct")
+
 
 class TestGen:
     def test_p_zero_is_arcless(self, capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -183,8 +184,6 @@ class TestStrongComponents:
     def test_d4(self):
         c = strong_components(d4())
         assert c.components == ((0,), (1,), (2, 3))
-        assert c.component_of == (0, 1, 2, 2)
-        assert sorted(c.dag.arcs()) == [(0, 1), (1, 2)]
         assert c.initial == {0}
         assert c.terminal == {2}
 
@@ -217,19 +216,57 @@ class TestStrongComponents:
         assert seen == list(range(g.n))
 
     @given(digraphs())
-    def test_dag_is_acyclic(self, g):
-        dag = strong_components(g).dag
-        assert all(len(comp) == 1 for comp in strong_components(dag).components)
+    def test_initial_and_terminal_against_arc_oracle(self, g):
+        comps = bruteforce.reach_components(g)
+        index = {v: i for i, comp in enumerate(comps) for v in comp}
+        crossing = [(index[u], index[v]) for u, v in g.arcs() if index[u] != index[v]]
+        c = strong_components(g)
+        assert c.initial == set(range(len(comps))) - {j for _, j in crossing}
+        assert c.terminal == set(range(len(comps))) - {i for i, _ in crossing}
 
     @given(digraphs())
     def test_mutual_reachability_iff_same_component(self, g):
-        c = strong_components(g)
+        comps = strong_components(g).components
         dm = distance_matrix(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                same = c.component_of[u] == c.component_of[v]
-                mutual = dm[u][v] is not INF and dm[v][u] is not INF
-                assert same == mutual
+        for comp in comps:
+            for u in comp:
+                for v in range(g.n):
+                    mutual = dm[u][v] is not INF and dm[v][u] is not INF
+                    assert (v in comp) == mutual
+
+
+def _transitive_tournament(n: int):
+    return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+class TestStrongComponentsAtScale:
+    """Known answers on large inputs, each within a time bound that a
+    per-vertex forward/backward BFS sweep (quadratic in n) does not meet."""
+
+    @pytest.mark.parametrize(
+        "make, n_comps, initial, terminal",
+        [
+            (lambda: path(4096), 4096, {0}, {4095}),
+            (lambda: reverse(path(4096)), 4096, {4095}, {0}),
+            (lambda: cycle(4096), 1, {0}, {0}),
+            (lambda: _transitive_tournament(500), 500, {0}, {499}),
+            (lambda: reverse(_transitive_tournament(500)), 500, {499}, {0}),
+            (lambda: long_tournament(500), 1, {0}, {0}),
+        ],
+        ids=["path", "reversed-path", "cycle", "transitive", "reversed-transitive", "LT500"],
+    )
+    def test_known_answer_within_bound(self, make, n_comps, initial, terminal):
+        g = make()
+        start = time.perf_counter()
+        c = strong_components(g)
+        elapsed = time.perf_counter() - start
+        assert len(c.components) == n_comps
+        if n_comps == g.n:
+            assert c.components == tuple((v,) for v in range(g.n))
+        else:
+            assert c.components == (tuple(range(g.n)),)
+        assert (c.initial, c.terminal) == (initial, terminal)
+        assert elapsed < 2.0, elapsed
 
 
 class TestInduced:
@@ -262,7 +299,6 @@ def _producers(g, k, seed):
         "reverse(reverse)": reverse(reverse(g)),
         "qt_closure": qt_closure(g, k, RANDOM, seed),
         "random_qt": random_qt(GenConfig(n=g.n, k=k, arc_prob=0.3, seed=seed, orientation_rule=FORWARD)),
-        "cond.dag": g.cond.dag,
     }
 
 

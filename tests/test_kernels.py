@@ -71,10 +71,18 @@ class TestVerifyKernel:
     def test_matches_bruteforce_on_all_subsets(self, d):
         import itertools
 
-        for size in range(min(d.n, 3) + 1):
-            for comb in itertools.combinations(range(d.n), size):
-                cert = verify_kernel(d, comb, 2, 1)
-                assert cert.verified == bruteforce.is_kernel(d, set(comb), 2, 1)
+        dist = bruteforce.floyd_distances(d)
+        for k, l in ((2, 1), (3, 2), (1, 3)):
+            for size in range(min(d.n, 3) + 1):
+                for comb in itertools.combinations(range(d.n), size):
+                    cert = verify_kernel(d, comb, k, l)
+                    # the first failing ordered pair, then the first unabsorbed outsider
+                    close = [(u, v) for u, v in itertools.permutations(comb, 2) if dist[u][v] < k]
+                    stray = [z for z in range(d.n) if z not in comb and all(dist[z][v] > l for v in comb)]
+                    assert cert.independent == (not close)
+                    assert cert.absorbent == (not stray)
+                    assert cert.witness == (close or stray or [None])[0]
+                    assert cert.verified == bruteforce.is_kernel(d, comb, k, l)
 
 
 class TestConstruct:
