@@ -319,13 +319,13 @@ def _cmd_lemmas(args) -> int:
     k_values = _parse_ints(args.k_list, "k list", _k_value)
     if not k_values:
         raise QkError("k list is empty")
-    kings_trials = args.trials if args.trials is not None else args.kings_trials
-    lemma_trials = args.trials if args.trials is not None else args.lemma_trials
+    if args.trials and (args.kings_trials or args.lemma_trials):
+        raise QkError("--trials sets both corpus sizes; it takes no --kings-trials or --lemma-trials")
     results = run_suite(
         k_values=k_values,
-        kings_trials=kings_trials,
+        kings_trials=args.trials or args.kings_trials or 200,
         kings_n_max=args.n_max,
-        lemma_trials=lemma_trials,
+        lemma_trials=args.trials or args.lemma_trials or 60,
         base_seed=args.seed,
     )
     violations = sum(len(r.violations) for r in results)
@@ -457,8 +457,8 @@ def build_parser() -> _Parser:
                  needs_file=False, needs_k=False)
     lemmas.add_argument("--k-list", default="2,3,4,5,6", dest="k_list")
     lemmas.add_argument("--trials", type=_trials, help="set both corpus sizes at once")
-    lemmas.add_argument("--kings-trials", type=_trials, default=200, dest="kings_trials")
-    lemmas.add_argument("--lemma-trials", type=_trials, default=60, dest="lemma_trials")
+    lemmas.add_argument("--kings-trials", type=_trials, dest="kings_trials", help="default 200")
+    lemmas.add_argument("--lemma-trials", type=_trials, dest="lemma_trials", help="default 60")
     lemmas.add_argument("--n-max", type=_lemmas_n_max, default=10, dest="n_max")
     lemmas.add_argument("--seed", type=_int_value, default=1789)
     lemmas.add_argument("--min-fire", type=_fraction, default=0.05, dest="min_fire")

@@ -7,8 +7,9 @@ class QkError(Exception):
     """Base class for all library errors.
 
     Errors pickle by their message and attributes, not by constructor
-    arguments (a subclass's __init__ takes its fields and builds the
-    message), so they cross process boundaries intact."""
+    arguments: a subclass's __init__ takes its fields and builds the
+    message, so default pickling, which calls the class with the message,
+    would garble every subclass a caller pickles."""
 
     def __reduce__(self):
         return _rebuild, (type(self), self.args, self.__dict__)
@@ -48,12 +49,14 @@ class VertexOutOfRange(QkError):
 
 
 class InstanceTooLarge(QkError):
-    """The instance exceeds the configured enumeration cap."""
+    """The instance exceeds a size cap; limit names it (the k-path
+    enumeration cap by default)."""
 
-    def __init__(self, n: int, cap: int) -> None:
-        super().__init__(f"instance with n={n} exceeds enumeration cap {cap}")
+    def __init__(self, n: int, cap: int, limit: str = "enumeration cap") -> None:
+        super().__init__(f"instance with n={n} exceeds {limit} {cap}")
         self.n = n
         self.cap = cap
+        self.limit = limit
 
 
 class NotQuasiTransitiveInput(QkError):

@@ -1,23 +1,25 @@
 """Run independent jobs on the CPUs this process may use.
 
 ``fan_out(fn, jobs)`` returns ``[fn(job) for job in jobs]``, and when a job
-raises, it raises what that loop would raise: the exception of the failing
-job that comes first in ``jobs``.  With one CPU allowed, or on a platform
-without ``os.fork`` or ``os.sched_getaffinity`` (macOS, Windows), it runs
-exactly that loop in this process, so ``taskset -c 0`` gives a serial run.
+raises, it raises what that loop would raise.  With one CPU allowed, or on
+a platform without ``os.fork`` or ``os.sched_getaffinity`` (macOS,
+Windows), it runs exactly that loop in this process, so ``taskset -c 0``
+gives a serial run.
 
 Otherwise it forks w workers, one per allowed CPU and at most one per job,
 and deals the jobs round-robin: worker i runs jobs i, i + w, i + 2w, ... in
-order.  Each worker stops at its first failing job, sends its results and
-that failure back as one pickle over its own pipe, and leaves with
-``os._exit``.  A shared anonymous ``mmap`` holds each worker's current job
-and the lowest failed job known: no worker starts a job above that, and
-the parent, reading the pipes as they fill (``select``), kills every worker
-whose current job is above it.  A job below a known failure always runs to
-its end, so the failure first in ``jobs`` is always sent back.  The parent
+order.  Each worker sends back one pickle over its own pipe, its results
+or ``None`` at its first failing job (or if its results do not pickle), and
+leaves with ``os._exit``.  No exception crosses a pipe.  The forked path
+returns only a complete success: at the first ``None`` the parent kills
+the other workers and runs the serial loop itself, which raises the serial
+error since qk's jobs are seeded and deterministic.  So jobs before a
+failure may run twice, and a failing run takes at most the time its
+failing worker needs to reach that job plus the serial loop's time to the
+first failure.  The parent reads the pipes as they fill (``select``) and
 reaps every worker with ``waitpid``, so the rusage of the process (and a
-``wait4`` on it) counts the workers' CPU time and peak RSS.  ``mmap``,
-``pickle`` and ``select`` are imported only on this path.
+``wait4`` on it) counts the workers' CPU time and peak RSS.  ``pickle`` and
+``select`` are imported only on this path.
 """
 
 from __future__ import annotations
@@ -40,42 +42,31 @@ def fan_out(fn, jobs) -> list:
     jobs is a sequence (a range, tuple or list), read as given: a range of
     trials is never turned into a list."""
     workers = min(cpus(), len(jobs))
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    return _forked(fn, jobs, workers)
+    results = _forked(fn, jobs, workers) if workers > 1 else None
+    if results is None:  # one CPU, or a job failed in a worker
+        results = [fn(job) for job in jobs]
+    return results
 
 
-def _forked(fn, jobs, workers: int) -> list:
-    import mmap
+def _forked(fn, jobs, workers: int) -> list | None:
+    """The results of every job from workers forked for them, or None as
+    soon as one worker reports a failure."""
     import pickle
     import select
     import signal
 
-    # slots[i]: the job worker i runs; slots[workers]: the first failed job known
-    slots = memoryview(mmap.mmap(-1, 8 * (workers + 1))).cast("q")
-    slots[workers] = len(jobs)
     live: dict[int, tuple] = {}  # read end of a result pipe -> (worker, pid, bytes read)
     results = [None] * len(jobs)
-    error = None  # the exception of job slots[workers]
-
-    def stop(r: int) -> None:
-        pid = live.pop(r)[1]
-        os.close(r)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
     try:
         for i in range(workers):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(fn, jobs, i, workers, slots, w)
+                _work(fn, jobs, i, workers, w)
             os.close(w)
             live[r] = (i, pid, [])
         while live:
             for r in select.select(list(live), [], [])[0]:
-                if r not in live:  # stopped earlier in this pass
-                    continue
                 data = os.read(r, 1 << 16)
                 if data:
                     live[r][2].append(data)
@@ -86,43 +77,33 @@ def _forked(fn, jobs, workers: int) -> list:
                 if code or not reply:
                     how = f"exit status {code}" if code >= 0 else f"signal {-code}"
                     raise QkError(f"worker process {pid} ended with {how} without a result")
-                done, failed = pickle.loads(b"".join(reply))
-                # worker i ran jobs i, i + w, ... up to, not including, job end
-                end = i + workers * len(done)
-                results[i:end:workers] = done
-                if failed is not None and end < slots[workers]:
-                    error, slots[workers] = failed, end
-                    for other in [o for o, (j, *_) in live.items() if slots[j] > end]:
-                        stop(other)
+                done = pickle.loads(b"".join(reply))
+                if done is None:
+                    return None
+                results[i::workers] = done
     finally:
-        for r in list(live):  # this process is failing: stop the rest
-            stop(r)
-    if error is not None:
-        raise error
+        for r, (_, pid, _) in live.items():  # a failure: stop the rest
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return results
 
 
-def _work(fn, jobs, i: int, workers: int, slots, out: int) -> None:
-    """A worker's life: run jobs i, i + workers, ... in order, stopping at
-    the first that raises or at the first above slots[workers], write
-    (results, failure) to out, then exit.  os._exit skips the parent's
-    atexit handlers and never flushes stdio buffers the worker inherited."""
+def _work(fn, jobs, i: int, workers: int, out: int) -> None:
+    """A worker's life: run jobs i, i + workers, ... in order, write the
+    pickle of their results, or of None at the first that raises, to out,
+    then exit.  os._exit skips the parent's atexit handlers and never
+    flushes stdio buffers the worker inherited."""
     import pickle
 
     status = 1
     try:
-        done, failed = [], None
-        for j in range(i, len(jobs), workers):
-            slots[i] = j  # before the check: the parent writes a failure, then reads this
-            if j > slots[workers]:
-                break
-            try:
-                done.append(fn(jobs[j]))
-            except Exception as exc:
-                failed = exc
-                break
+        try:
+            reply = pickle.dumps([fn(jobs[j]) for j in range(i, len(jobs), workers)])
+        except Exception:
+            reply = pickle.dumps(None)
         with open(out, "wb") as fh:
-            fh.write(pickle.dumps((done, failed)))
+            fh.write(reply)
         status = 0
     except BaseException:
         import traceback

@@ -135,7 +135,7 @@ def exhaustive_kernel_search(
     if k < 1 or l < 1:
         raise ValueError("kernel radii must be >= 1")
     if d.n > cap:
-        raise InstanceTooLarge(d.n, cap)
+        raise InstanceTooLarge(d.n, cap, "subset kernel search cap")
     n = d.n
     absorb, later = _kernel_tables(d, k, l)
     full = (1 << n) - 1
@@ -276,7 +276,7 @@ def hunt_conjecture(
     if not (1 <= n_min <= n_max):
         raise ValueError(f"need 1 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     if n_max > 16:
-        raise InstanceTooLarge(n_max, 16)
+        raise InstanceTooLarge(n_max, 16, "hunt order cap")
     rr = (k + 1, k) if radii is None else (int(radii[0]), int(radii[1]))
     if rr[0] < 1 or rr[1] < 1:
         raise ValueError("kernel radii must be >= 1")

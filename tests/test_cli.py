@@ -253,6 +253,14 @@ class TestKernel:
         assert captured.out == ""
         assert captured.err.startswith("qk: error: --construct")
 
+    def test_search_above_its_cap_names_it(self, capsys, tmp_path):
+        p = tmp_path / "path.edges"
+        write_digraph(str(p), path(25))
+        assert main(["kernel", str(p), "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qk: error: instance with n=25 exceeds subset kernel search cap 20\n"
+
 
 class TestGen:
     def test_p_zero_is_arcless(self, capsys, tmp_path):
@@ -323,6 +331,12 @@ class TestHunt:
 
     def test_radii_must_come_in_pairs(self, capsys):
         assert main(["hunt", "--k", "2", "--trials", "1", "--indep", "3"]) == 3
+
+    def test_order_above_its_cap_names_it(self, capsys):
+        assert main(["hunt", "--k", "2", "--n-max", "17"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qk: error: instance with n=17 exceeds hunt order cap 16\n"
 
     def test_custom_radii_reported(self, capsys):
         code, doc = run_json(capsys, "hunt", "--k", "2", "--trials", "5",
@@ -416,6 +430,18 @@ class TestLemmas:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {option}: need at least 1 trial, got {value}" in captured.err
+
+    @pytest.mark.parametrize("sizes", [
+        ("--kings-trials", "40"),
+        ("--lemma-trials", "40"),
+        ("--kings-trials", "40", "--lemma-trials", "40"),
+    ], ids=["kings", "lemma", "both"])
+    def test_trials_takes_no_corpus_size(self, capsys, sizes):
+        # --trials set both sizes and silently overrode the one given with it
+        assert main(["lemmas", "--k-list", "2", "--trials", "6", *sizes]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qk: error: --trials")
 
     def test_n_max_below_two(self, capsys):
         # the kings corpus draws orders from 2 to n-max

@@ -1,6 +1,6 @@
-"""qk.fanout: results and errors equal to the serial loop, no job past the
-first failure, no child left behind, the serial path on one CPU, and the
-errors it carries back."""
+"""qk.fanout: results and errors equal to the serial loop, a failure in a
+worker sent back to that loop, no child left behind, the serial path on one
+CPU, and qk errors that survive pickling."""
 
 from __future__ import annotations
 
@@ -63,6 +63,15 @@ def square(j):
     return j * j
 
 
+class Pair(Exception):
+    """An exception whose __init__ takes two arguments: default pickling,
+    which calls the class with args, cannot rebuild it."""
+
+    def __init__(self, a, b):
+        super().__init__(a + b)
+        self.pair = (a, b)
+
+
 class TestForked:
     def test_results_in_input_order(self, three_workers):
         assert fanout.fan_out(square, range(40)) == [j * j for j in range(40)]
@@ -97,6 +106,19 @@ class TestForked:
             fanout.fan_out(job, range(4))
         assert (info.value.n, info.value.cap) == (99, 64)
         assert str(info.value) == "instance with n=99 exceeds enumeration cap 64"
+        assert_no_children()
+
+    @pytest.mark.parametrize("err", [ValueError(lambda: 0), Pair(1, 2)],
+                             ids=["args-that-do-not-pickle", "two-argument-init"])
+    def test_error_is_the_jobs_own_whatever_its_pickling(self, two_workers, err):
+        def job(j):
+            if j == 1:
+                raise err
+            return j
+
+        with pytest.raises(type(err)) as info:
+            fanout.fan_out(job, range(4))
+        assert info.value is err
         assert_no_children()
 
     def test_worker_that_exits_without_a_result(self, three_workers):
@@ -155,8 +177,8 @@ class TestForked:
 
 
 class TestCancel:
-    """No job runs past the first failure known, and no earlier job's
-    error is lost to the stopping."""
+    """A worker's failure stops the other workers at once, and the serial
+    loop that follows raises the error that comes first in jobs."""
 
     def test_failure_kills_a_later_job(self, two_workers):
         def job(j):
@@ -200,6 +222,21 @@ class TestCancel:
         assert not started.exists()
         assert_no_children()
 
+    def test_failure_only_in_a_worker_gives_the_serial_results(self, two_workers):
+        parent = os.getpid()
+
+        def job(j):
+            if os.getpid() != parent:
+                raise ValueError("in a worker")
+            return j * j
+
+        assert fanout.fan_out(job, range(5)) == [j * j for j in range(5)]
+        assert_no_children()
+
+    def test_results_that_do_not_pickle_come_from_the_serial_loop(self, two_workers):
+        results = fanout.fan_out(lambda j: lambda: j, range(4))
+        assert [f() for f in results] == list(range(4))
+        assert_no_children()
 
     def test_first_failure_wins_with_more_workers_than_cpus(self, monkeypatch, deadline):
         monkeypatch.setattr(fanout, "cpus", lambda: 5)
@@ -349,10 +386,12 @@ def test_repeated_k_values_stay_in_order(capsys, monkeypatch, deadline):
 @pytest.mark.parametrize("argv", [
     ["lemmas", "--k-list", "30,25", "--trials", "6"],
     ["lemmas", "--k-list", "30", "--trials", "12"],
+    ["lemmas", "--k-list", "2,30", "--trials", "6"],
 ])
 def test_parallel_failure_stops_as_fast_as_the_serial_run(capsys, monkeypatch, deadline, argv):
     # a worker dealt a later job (the k = 25 corpus, or trials 6..11 at
-    # k = 30) once ran for minutes after the first job had failed
+    # k = 30) once ran for minutes after the first job had failed; at
+    # k-list 2,30 the k = 2 jobs succeed in the workers before k = 30 fails
     monkeypatch.setattr(fanout, "cpus", lambda: 1)
     assert main(argv) == 3
     serial = capsys.readouterr()
