@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .base import FORWARD, MAX_VERTICES, RANDOM, Record
-from .errors import EdgeListParseError, NotQuasiTransitiveInput, QkError
+from .errors import NotQuasiTransitiveInput, QkError
 
 USAGE_EXIT = 3
 
@@ -36,10 +36,10 @@ _BATCH = 4096  # pieces of text per write
 def write_json(doc, write) -> None:
     """Write doc through write() as json.dumps(doc, sort_keys=True,
     indent=2) writes it, with qk's conversions: a record is an object of
-    its fields except elapsed (wall-clock time), an infinite or NaN float
-    is null and an integral float an int, a tuple is an array, and mapping
-    keys become str() of themselves.  Any other type (subclasses of str,
-    int, float, list and tuple too) raises TypeError.
+    all of its fields, an infinite or NaN float is null and an integral
+    float an int, a tuple is an array, and mapping keys become str() of
+    themselves.  Any other type (subclasses of str, int, float, list and
+    tuple too) raises TypeError.
 
     The text goes out in batches of pieces, so memory does not grow with
     the document; strings are quoted by json's C escaper."""
@@ -47,7 +47,7 @@ def write_json(doc, write) -> None:
 
     parts: list[str] = []
     append = parts.append
-    fields: dict[type, tuple[str, ...]] = {}  # per record type: sorted, without elapsed
+    fields: dict[type, tuple[str, ...]] = {}  # per record type, sorted
 
     def put(x, nl: str) -> None:
         t = type(x)
@@ -69,7 +69,7 @@ def write_json(doc, write) -> None:
         elif (names := fields.get(t)) is not None:
             members([(name, getattr(x, name)) for name in names], nl)
         elif isinstance(x, Record):
-            fields[t] = tuple(sorted(name for name in x.__slots__ if name != "elapsed"))
+            fields[t] = tuple(sorted(x.__slots__))
             put(x, nl)
         elif isinstance(x, dict):
             keyed = {str(key): value for key, value in x.items()}
@@ -469,9 +469,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except EdgeListParseError as exc:
-        print(f"qk: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except NotQuasiTransitiveInput as exc:
         print(f"qk: error: input not quasi-transitive: {exc}", file=sys.stderr)
         return USAGE_EXIT

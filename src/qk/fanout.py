@@ -9,11 +9,14 @@ gives a serial run.
 Otherwise it forks w workers, one per allowed CPU and at most one per job,
 and deals the jobs round-robin: worker i runs jobs i, i + w, i + 2w, ... in
 order.  Each worker sends back one pickle over its own pipe, its results
-or ``None`` at its first failing job (or if its results do not pickle), and
-leaves with ``os._exit``.  No exception crosses a pipe.  The forked path
-returns only a complete success: at the first ``None`` the parent kills
-the other workers and runs the serial loop itself, which raises the serial
-error since qk's jobs are seeded and deterministic.  So jobs before a
+or ``None`` at its first job that raises anything (``SystemExit`` and
+``KeyboardInterrupt`` too) or if its results do not pickle, and leaves
+with ``os._exit(0)``.  No exception crosses a pipe, and no worker prints a
+traceback.  A worker that sends nothing, or is killed, counts as a
+``None``.  The forked path returns only a complete success: at the first
+``None`` the parent kills the other workers and runs the serial loop
+itself, which raises the serial error since qk's jobs are seeded and
+deterministic.  Every worker failure takes this one path.  Jobs before a
 failure may run twice, and a failing run takes at most the time its
 failing worker needs to reach that job plus the serial loop's time to the
 first failure.  The parent reads the pipes as they fill (``select``) and
@@ -25,8 +28,6 @@ reaps every worker with ``waitpid``, so the rusage of the process (and a
 from __future__ import annotations
 
 import os
-
-from .errors import QkError
 
 
 def cpus() -> int:
@@ -73,11 +74,8 @@ def _forked(fn, jobs, workers: int) -> list | None:
                     continue
                 i, pid, reply = live.pop(r)
                 os.close(r)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code or not reply:
-                    how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-                    raise QkError(f"worker process {pid} ended with {how} without a result")
-                done = pickle.loads(b"".join(reply))
+                status = os.waitpid(pid, 0)[1]  # not 0: killed, perhaps mid-reply
+                done = pickle.loads(b"".join(reply)) if reply and not status else None
                 if done is None:
                     return None
                 results[i::workers] = done
@@ -91,24 +89,18 @@ def _forked(fn, jobs, workers: int) -> list | None:
 
 def _work(fn, jobs, i: int, workers: int, out: int) -> None:
     """A worker's life: run jobs i, i + workers, ... in order, write the
-    pickle of their results, or of None at the first that raises, to out,
-    then exit.  os._exit skips the parent's atexit handlers and never
-    flushes stdio buffers the worker inherited."""
+    pickle of their results, or of None at the first that raises anything
+    (SystemExit and KeyboardInterrupt too), to out, then exit.  os._exit
+    skips the parent's atexit handlers and never flushes stdio buffers the
+    worker inherited; a reply it could not write reads as None."""
     import pickle
 
-    status = 1
     try:
         try:
             reply = pickle.dumps([fn(jobs[j]) for j in range(i, len(jobs), workers)])
-        except Exception:
+        except BaseException:  # the parent's serial rerun raises it again
             reply = pickle.dumps(None)
         with open(out, "wb") as fh:
             fh.write(reply)
-        status = 0
-    except BaseException:
-        import traceback
-
-        traceback.print_exc()
-        raise
     finally:
-        os._exit(status)
+        os._exit(0)

@@ -14,16 +14,15 @@ _SCALARS = frozenset({int, str, bool, type(None)})
 
 
 def jsonable(x):
-    """Records to dicts of their fields (without the wall-clock field
-    elapsed), infinities and NaN to None, integral floats to int, tuples to
-    lists, mapping keys to str()."""
+    """Records to dicts of all of their fields, infinities and NaN to None,
+    integral floats to int, tuples to lists, mapping keys to str()."""
     t = type(x)
     if t in _SCALARS:
         return x
     if t is list or t is tuple:
         return [jsonable(v) for v in x]
     if isinstance(x, Record):
-        return {name: jsonable(getattr(x, name)) for name in x.__slots__ if name != "elapsed"}
+        return {name: jsonable(getattr(x, name)) for name in x.__slots__}
     if isinstance(x, float):
         if math.isinf(x) or math.isnan(x):
             return None

@@ -296,7 +296,6 @@ class TestRunChecker:
         assert {v.instance for v in result.violations} == {1}
         assert result.fire_fraction == 1.0
         assert not result.passed
-        assert result.elapsed >= 0.0
 
     def test_empty_corpus(self):
         result = run_checker("king-theorems", 3, [])

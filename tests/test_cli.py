@@ -12,6 +12,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import qk
 import qk.cli
+import qk.fanout
 import qk.kernels
 from qk.cli import main
 from qk.digraph import reverse
@@ -620,6 +622,79 @@ class TestFileBytesFuzz:
             assert message == ""
 
 
+# option values: small ones (trials <= 20, n <= 12, k <= 5, a few out of
+# range), and malformed tokens that any option but -o may get instead; no
+# large value, as --trials 5000 would run for half a minute
+_BAD = ["", "x", "+3", "1_0", "3.5", "٣", "-", "--json"]
+_TRIALS = ["0", "1", "3", "20", "-1"]
+_NS = ["0", "1", "2", "5", "12", "-2"]
+_KS = ["2", "3", "4", "5"]
+_ARGV_OPTIONS = {  # per subcommand: its required options first, then a value pool per option
+    "check": (["--k"], {"--k": _KS}),
+    "kings": (["--k"], {"--k": _KS, "--fast": None, "--census": None, "--checked": None}),
+    "kernel": (["--k"], {"--k": _KS, "--construct": None, "--exhaustive": None, "--indep": _NS,
+                         "--absorb": _NS, "--verify": ["0", "0,1", "1 2", "9", "-1", "0,+1", ","]}),
+    "gen": (["--k", "--n", "--p", "-o"], {"--k": _KS, "--n": _NS, "--seed": _NS,
+                                         "--p": ["0", "0.3", "1", "nan", "inf", "-1"],
+                                         "--rule": ["random", "FORWARD"], "-o": ["OUT", "DIR", "MISSING"]}),
+    "hunt": (["--k"], {"--k": _KS, "--trials": _TRIALS, "--n-min": _NS, "--n-max": _NS, "--seed": _NS,
+                       "--indep": _NS, "--absorb": _NS}),
+    "lemmas": (["--k-list"], {"--k-list": ["2", "3", "5", "2,3", "4 2", "1", "2,+3", "12", ",,"],
+                              "--trials": _TRIALS, "--kings-trials": _TRIALS, "--lemma-trials": _TRIALS,
+                              "--n-max": _NS, "--seed": _NS, "--min-fire": ["0", "0.05", "1", "nan", "2"]}),
+}
+_FILES = {"D4": "4 5\n0 1\n1 2\n1 3\n2 3\n3 2\n", "P5": "5 4\n0 1\n1 2\n2 3\n3 4\n",
+          "LOOP": "2 1\n0 0\n", "EMPTY": ""}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, its file (mostly one that parses, else one that does
+    not, a directory or a missing path) and its required options, then up
+    to four more options.  Now and then a value (other than -o's) is
+    malformed, or the file or a required option is left out.  lemmas
+    always gets a --k-list, so that no run checks the default k = 2..6 at
+    full corpus sizes."""
+    command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    required, options = _ARGV_OPTIONS[command]
+    argv = [command]
+    if command in ("check", "kings", "kernel"):
+        argv.append(draw(st.sampled_from(["D4", "P5"] * 4 + [*_FILES, "DIR", "MISSING", None])))
+    left_out = draw(st.sampled_from([None] * 4 + required)) if command != "lemmas" else None
+    for name in required + draw(st.lists(st.sampled_from([*options, "--json"]), max_size=4)):
+        if name != left_out:
+            argv.append(name)
+            if options.get(name):
+                # -o takes only the fixture paths: a bare token would write a file in the cwd
+                argv.append(draw(st.sampled_from(options[name] * 4 + (_BAD if name != "-o" else []))))
+    return [a for a in argv if a is not None]
+
+
+@pytest.fixture(scope="module")
+def argv_names(tmp_path_factory):
+    """Where each placeholder of _argvs points."""
+    base = tmp_path_factory.mktemp("argv")
+    names = {"DIR": str(base), "MISSING": str(base / "missing" / "x.edges"), "OUT": str(base / "out.edges")}
+    for label, text in _FILES.items():
+        names[label] = str(base / f"{label}.edges")
+        Path(names[label]).write_text(text)
+    return names
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=10_000)
+    @given(_argvs())
+    def test_every_subcommand_exits_cleanly_on_any_argv(self, argv_names, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(qk.fanout, "cpus", lambda: 1), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([argv_names.get(a, a) for a in argv])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestJsonStability:
     def test_byte_identical_reports(self, capsys, d4_file):
         main(["kings", d4_file, "--k", "4", "--census", "--json"])
@@ -733,6 +808,29 @@ def test_startup_imports_stay_lazy(tmp_path):
     write_digraph(str(p), d4())
     used = loaded_modules("import qk.cli; qk.cli.main(sys.argv[1:])", "check", str(p), "--k", "2")
     assert used == ["qk.qt", "qk.digraph", "qk.edgelist", "qk.errors", "qk.base", "qk.cli"]
+
+
+def top_level_modules(code):
+    """The top-level names in sys.modules after a fresh interpreter runs code."""
+    code += "; import sys; print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))"
+    src = str(Path(qk.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_only_the_standard_library_is_imported():
+    # every submodule, and a forked fan_out, so that pickle, select and signal load
+    loaded = top_level_modules(
+        "import pkgutil, qk, qk.fanout; "
+        "[__import__('qk.' + m.name) for m in pkgutil.iter_modules(qk.__path__)]; "
+        "qk.fanout.cpus = lambda: 2; "
+        "assert qk.fanout.fan_out(abs, (-1, -2)) == [1, 2]"
+    )
+    assert {"qk", "pickle", "select", "signal"} <= loaded
+    new = loaded - top_level_modules("pass")
+    assert {m for m in new if m != "qk" and m not in sys.stdlib_module_names} == set()
 
 
 def test_installed_entry_point():

@@ -21,7 +21,7 @@ from qk.qt import FORWARD, RANDOM, GenConfig, QtViolation
 
 SAMPLES = [
     Violation("distance-dichotomy", "back<=k+1", 2, (0, 3), "detail", 4),
-    CheckResult("king-theorems", 3, 10, 4, (), 0.5),
+    CheckResult("king-theorems", 3, 10, 4, ()),
     strong_components(build(3, [(0, 1), (1, 0), (1, 2)])),
     KernelCertificate((0, 2), 3, 2, True, False, 1),
     Counterexample(2, (5, 1), 3, ((0, 1),), 7, 99),
@@ -127,6 +127,6 @@ class TestConstruction:
     def test_properties_still_read_the_fields(self):
         v = QtViolation((4, 1, 7))
         assert (v.u, v.v) == (4, 7)
-        assert CheckResult("c", 2, 4, 1, (), 0.0).fire_fraction == 0.25
+        assert CheckResult("c", 2, 4, 1, ()).fire_fraction == 0.25
         assert isinstance(SAMPLES[2], Condensation)
         assert SAMPLES[2].initial_component == (0, 1)
