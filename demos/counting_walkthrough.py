@@ -10,7 +10,7 @@ Run:  python3 demos/counting_walkthrough.py [k] [trials]
 import sys
 from collections import defaultdict
 
-from qk import GenConfig, census, random_qt
+from qk import census, random_qt
 
 k = int(sys.argv[1]) if len(sys.argv) > 1 else 2
 trials = int(sys.argv[2]) if len(sys.argv) > 2 else 400
@@ -18,7 +18,7 @@ trials = int(sys.argv[2]) if len(sys.argv) > 2 else 400
 by_size = defaultdict(list)
 skipped = 0
 for t in range(trials):
-    d = random_qt(GenConfig(n=4 + t % 6, k=k, arc_prob=0.12 + 0.04 * (t % 7), seed=t))
+    d = random_qt(n=4 + t % 6, k=k, arc_prob=0.12 + 0.04 * (t % 7), seed=t)
     comp = d.cond.initial_component
     if comp is None:
         skipped += 1

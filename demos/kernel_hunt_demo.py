@@ -10,7 +10,6 @@ Run:  python3 demos/kernel_hunt_demo.py [k]
 import sys
 
 from qk import (
-    GenConfig,
     build,
     construct_kplus2_kernel,
     exhaustive_kernel_search,
@@ -22,7 +21,7 @@ k = int(sys.argv[1]) if len(sys.argv) > 1 else 3
 
 print(f"== the guaranteed construction (k={k}) ==")
 for seed in range(4):
-    d = random_qt(GenConfig(n=9, k=k, arc_prob=0.18, seed=seed))
+    d = random_qt(n=9, k=k, arc_prob=0.18, seed=seed)
     cert = construct_kplus2_kernel(d, k)
     s = cert.candidate
     best = exhaustive_kernel_search(d, k + 2, k + 1)

@@ -64,13 +64,11 @@ _EXPORTS = {
         "find_kplus1_king_fast",
     ),
     "qt": (
-        "DEFAULT_ENUM_CAP",
+        "ENUM_CAP",
         "FORWARD",
         "RANDOM",
-        "GenConfig",
         "QtViolation",
         "certify_qt",
-        "enum_cap",
         "is_k_quasi_transitive",
         "mix_seed",
         "qt_closure",

@@ -27,7 +27,7 @@ from .digraph import Digraph, INF, build
 from .errors import NotQuasiTransitiveInput, QkError
 from .kings import census, degree_step, degree_threshold_vertices, final_disjunction, find_kplus1_king_fast
 from .kernels import construct_kplus2_kernel
-from .qt import FORWARD, GenConfig, mix_seed, qt_closure, random_qt
+from .qt import FORWARD, mix_seed, qt_closure, random_qt
 
 
 class Violation(Record):
@@ -421,8 +421,7 @@ def kings_corpus(
             p = rng.uniform(0.4, 0.8)
         else:
             p = rng.uniform(0.05, 0.5)
-        cfg = GenConfig(n=n, k=k, arc_prob=min(1.0, p), seed=rng.getrandbits(64))
-        out.append(random_qt(cfg))
+        out.append(random_qt(n, k, min(1.0, p), rng.getrandbits(64)))
     return out
 
 
@@ -504,7 +503,7 @@ def lemma_corpus(k: int, trials: int = 60, base_seed: int = 355, start: int = 0)
             else:
                 n = rng.randint(k + 3, 2 * k + 6)
                 p = rng.uniform(0.9, 2.2) / n
-                d = random_qt(GenConfig(n=n, k=k, arc_prob=p, seed=rng.getrandbits(64)))
+                d = random_qt(n, k, p, rng.getrandbits(64))
             picked = d
             if _interesting(d, k, want):
                 break

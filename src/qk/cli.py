@@ -270,10 +270,9 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_gen(args) -> int:
     from .edgelist import write_digraph
-    from .qt import GenConfig, random_qt
+    from .qt import random_qt
 
-    cfg = GenConfig(n=args.n, k=args.k, arc_prob=args.p, seed=args.seed, orientation_rule=args.rule)
-    d = random_qt(cfg)
+    d = random_qt(args.n, args.k, args.p, args.seed, args.rule)
     digest = write_digraph(args.output, d)
     _emit(
         args,

@@ -20,10 +20,12 @@ from .base import Record
 from .digraph import Digraph, bfs, build, distances_from
 from .errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
 from .kings import max_degree_vertex
-from .qt import GenConfig, certify_qt, mix_seed, random_qt
+from .qt import certify_qt, mix_seed, random_qt
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
+SEARCH_CAP = 20  # largest order exhaustive_kernel_search takes
+HUNT_N_MAX = 16  # largest n_max hunt_conjecture takes
 
 
 class KernelCertificate(Record):
@@ -117,9 +119,7 @@ def construct_kplus2_kernel(d: Digraph, k: int) -> KernelCertificate:
     return cert
 
 
-def exhaustive_kernel_search(
-    d: Digraph, k: int, l: int, cap: int = 20
-) -> tuple[int, ...] | None:
+def exhaustive_kernel_search(d: Digraph, k: int, l: int) -> tuple[int, ...] | None:
     """Smallest (k, l)-kernel, lexicographically first among that size,
     or None if no subset qualifies.
 
@@ -130,12 +130,13 @@ def exhaustive_kernel_search(
     so only independent sets are built, in size-then-lex order.  A branch is
     cut as soon as all the vertices from its lowest remaining candidate up,
     taken together, could not absorb what is still uncovered, since every
-    later pick comes from among them.  Refuses instances larger than cap.
+    later pick comes from among them.  Refuses instances larger than
+    SEARCH_CAP.
     """
     if k < 1 or l < 1:
         raise ValueError("kernel radii must be >= 1")
-    if d.n > cap:
-        raise InstanceTooLarge(d.n, cap, "subset kernel search cap")
+    if d.n > SEARCH_CAP:
+        raise InstanceTooLarge(d.n, SEARCH_CAP, "subset kernel search cap")
     n = d.n
     absorb, later = _kernel_tables(d, k, l)
     full = (1 << n) - 1
@@ -275,8 +276,8 @@ def hunt_conjecture(
         raise ValueError("trials must be >= 0")
     if not (1 <= n_min <= n_max):
         raise ValueError(f"need 1 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
-    if n_max > 16:
-        raise InstanceTooLarge(n_max, 16, "hunt order cap")
+    if n_max > HUNT_N_MAX:
+        raise InstanceTooLarge(n_max, HUNT_N_MAX, "hunt order cap")
     rr = (k + 1, k) if radii is None else (int(radii[0]), int(radii[1]))
     if rr[0] < 1 or rr[1] < 1:
         raise ValueError("kernel radii must be >= 1")
@@ -288,7 +289,7 @@ def hunt_conjecture(
         rng = _random.Random(seed)
         n = rng.randint(n_min, n_max)
         p = min(1.0, rng.uniform(0.5, 2.5) / n)
-        d = random_qt(GenConfig(n=n, k=k, arc_prob=p, seed=rng.getrandbits(64)))
+        d = random_qt(n, k, p, rng.getrandbits(64))
         kernel = exhaustive_kernel_search(d, rr[0], rr[1])
         if kernel is not None:
             return len(kernel)

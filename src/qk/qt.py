@@ -5,22 +5,19 @@ A digraph is k-quasi-transitive when every directed path of exactly k arcs
 at least one direction.  "Path" always means vertex-distinct path, never a
 walk.
 
-Path enumeration is exact DFS with an instance-size cap: worst-case blowup
-becomes an explicit InstanceTooLarge instead of a hang.  The default cap of
-64 vertices can be overridden with the QK_ENUM_CAP environment variable
-(read at call time).
+Path enumeration is exact DFS under a fixed instance-size cap, ENUM_CAP
+vertices: an order above it raises InstanceTooLarge before any search.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 from .base import FORWARD, RANDOM, Record
 from .digraph import Digraph, bfs, build
-from .errors import InstanceTooLarge, QkError
+from .errors import InstanceTooLarge
 
-DEFAULT_ENUM_CAP = 64
+ENUM_CAP = 64
 
 _MASK64 = (1 << 64) - 1
 
@@ -37,21 +34,9 @@ def mix_seed(*parts: int) -> int:
     return x
 
 
-def enum_cap() -> int:
-    """QK_ENUM_CAP, read as ASCII digits ([0-9]+), or DEFAULT_ENUM_CAP
-    when it is unset.  int() alone would also take ' 12', '+3' and '1_0'."""
-    text = os.environ.get("QK_ENUM_CAP")
-    if text is None:
-        return DEFAULT_ENUM_CAP
-    if not (text.isascii() and text.isdigit()):
-        raise QkError(f"QK_ENUM_CAP must be a count of vertices ([0-9]+), got {text!r}")
-    return int(text)
-
-
 def _require_enumerable(n: int) -> None:
-    cap = enum_cap()
-    if n > cap:
-        raise InstanceTooLarge(n, cap)
+    if n > ENUM_CAP:
+        raise InstanceTooLarge(n, ENUM_CAP)
 
 
 class QtViolation(Record):
@@ -66,30 +51,6 @@ class QtViolation(Record):
     @property
     def v(self) -> int:
         return self.path[-1]
-
-
-class GenConfig(Record):
-    """Parameters for random instance generation.
-
-    arc_prob seeds an Erdos-Renyi-style loop-free digraph, which is then
-    closed under the k-quasi-transitivity condition with the given
-    orientation rule.  Fully deterministic given seed.
-    """
-
-    n: int
-    k: int
-    arc_prob: float
-    seed: int
-    orientation_rule: str = RANDOM
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if not 0.0 <= self.arc_prob <= 1.0:
-            raise ValueError("arc_prob must be in [0, 1]")
-        if self.orientation_rule not in (RANDOM, FORWARD):
-            raise ValueError(f"unknown orientation rule {self.orientation_rule!r}")
 
 
 def _spread(reach: list[int], bit: int, via: int) -> None:
@@ -263,20 +224,24 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
             return Digraph(d.n, tuple(succ))
 
 
-def random_qt(cfg: GenConfig) -> Digraph:
-    """Seed an Erdos-Renyi loop-free digraph, then close it under the
-    k-quasi-transitivity condition.  Deterministic per seed.  An order
-    above the enumeration cap fails before any arc is drawn."""
-    _require_enumerable(cfg.n)
-    rng = random.Random(cfg.seed)
+def random_qt(n: int, k: int, arc_prob: float, seed: int, rule: str = RANDOM) -> Digraph:
+    """Seed an Erdos-Renyi loop-free digraph of order n, each arc drawn
+    with probability arc_prob, then close it under the k-quasi-transitivity
+    condition with the orientation rule.  Deterministic per seed.  An
+    arc_prob outside [0, 1], then an order above the enumeration cap, fails
+    before any arc is drawn; k and rule are checked by qt_closure."""
+    if not 0.0 <= arc_prob <= 1.0:
+        raise ValueError("arc_prob must be in [0, 1]")
+    _require_enumerable(n)
+    rng = random.Random(seed)
     arcs = [
         (u, v)
-        for u in range(cfg.n)
-        for v in range(cfg.n)
-        if u != v and rng.random() < cfg.arc_prob
+        for u in range(n)
+        for v in range(n)
+        if u != v and rng.random() < arc_prob
     ]
-    base = build(cfg.n, arcs)
-    return qt_closure(base, cfg.k, cfg.orientation_rule, seed=rng.getrandbits(64))
+    base = build(n, arcs)
+    return qt_closure(base, k, rule, seed=rng.getrandbits(64))
 
 
 def certify_qt(d: Digraph, k: int) -> bool:

@@ -35,7 +35,7 @@ from qk.checks import (
 )
 from qk.edgelist import emit
 from qk.kings import census, find_kplus1_king_fast
-from qk.qt import GenConfig, certify_qt, random_qt
+from qk.qt import certify_qt, random_qt
 
 
 def clauses(findings):
@@ -485,7 +485,7 @@ class TestGeneratedConsistency:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_every_checker_clean_on_generated_input(self, k, seed):
-        d = random_qt(GenConfig(n=8, k=k, arc_prob=0.2, seed=seed))
+        d = random_qt(n=8, k=k, arc_prob=0.2, seed=seed)
         for check_id, fn in CHECKERS.items():
             fired, vs = fn(d, k)
             assert vs == [], (check_id, vs)

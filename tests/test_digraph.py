@@ -25,7 +25,7 @@ from qk import (
 )
 from qk.digraph import bfs
 from qk.edgelist import emit, parse
-from qk.qt import FORWARD, RANDOM, GenConfig, qt_closure, random_qt
+from qk.qt import FORWARD, RANDOM, qt_closure, random_qt
 from strategies import digraphs
 
 
@@ -298,7 +298,7 @@ def _producers(g, k, seed):
         "reverse": reverse(g),
         "reverse(reverse)": reverse(reverse(g)),
         "qt_closure": qt_closure(g, k, RANDOM, seed),
-        "random_qt": random_qt(GenConfig(n=g.n, k=k, arc_prob=0.3, seed=seed, orientation_rule=FORWARD)),
+        "random_qt": random_qt(n=g.n, k=k, arc_prob=0.3, seed=seed, rule=FORWARD),
     }
 
 

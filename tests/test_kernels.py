@@ -23,7 +23,7 @@ from qk.kernels import (
     verify_kernel,
 )
 from qk.digraph import reverse, strong_components
-from qk.qt import GenConfig, random_qt
+from qk.qt import random_qt
 from strategies import digraphs
 
 
@@ -112,7 +112,7 @@ class TestConstruct:
     def test_generated_instances(self):
         for k in (2, 3, 4, 5):
             for seed in range(20):
-                d = random_qt(GenConfig(n=8, k=k, arc_prob=0.25, seed=seed))
+                d = random_qt(n=8, k=k, arc_prob=0.25, seed=seed)
                 s = construct_kplus2_kernel(d, k).candidate
                 assert verify_kernel(d, s, k + 2, k + 1).verified
                 cond = strong_components(reverse(d))
@@ -127,7 +127,7 @@ def _seeded_qt(count, n_max, seed):
         n = rng.randint(1, n_max)
         k = rng.randint(2, 5)
         p = min(1.0, rng.uniform(0.3, 3.0) / n)
-        yield k, random_qt(GenConfig(n=n, k=k, arc_prob=p, seed=rng.getrandbits(64)))
+        yield k, random_qt(n, k, p, rng.getrandbits(64))
 
 
 class TestExhaustiveSearch:
@@ -143,8 +143,9 @@ class TestExhaustiveSearch:
             assert exhaustive_kernel_search(c, k + 1, k) == (0,)
 
     def test_cap(self):
-        with pytest.raises(InstanceTooLarge):
-            exhaustive_kernel_search(complete(5), 2, 1, cap=4)
+        message = "^instance with n=21 exceeds subset kernel search cap 20$"
+        with pytest.raises(InstanceTooLarge, match=message):
+            exhaustive_kernel_search(complete(21), 2, 1)
 
     def test_empty_digraph(self):
         assert exhaustive_kernel_search(build(0, []), 2, 1) == ()

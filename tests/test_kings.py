@@ -25,7 +25,7 @@ from qk.kings import (
     find_kplus1_king_fast,
     max_degree_vertex,
 )
-from qk.qt import GenConfig, certify_qt, random_qt
+from qk.qt import certify_qt, random_qt
 from strategies import digraphs
 
 
@@ -145,7 +145,7 @@ class TestFastFinder:
     def test_threshold_vertices_are_kings_on_generated_input(self):
         for k in (2, 3, 4):
             for seed in range(15):
-                d = random_qt(GenConfig(n=8, k=k, arc_prob=0.3, seed=seed))
+                d = random_qt(n=8, k=k, arc_prob=0.3, seed=seed)
                 for v in degree_threshold_vertices(d, k):
                     assert max(distances_from(d, v)) <= k + 1
 
@@ -222,7 +222,7 @@ class TestCensus:
     def test_generated_instances_pass_all_audits(self):
         for k in (2, 3, 4, 5):
             for seed in range(25):
-                d = random_qt(GenConfig(n=7, k=k, arc_prob=0.25, seed=seed))
+                d = random_qt(n=7, k=k, arc_prob=0.25, seed=seed)
                 rep = census(d, k)
                 assert not rep.failed_audits, (k, seed, rep.failed_audits)
 

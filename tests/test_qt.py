@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,12 @@ from hypothesis import strategies as st
 
 import bruteforce
 from instances import chorded_path, complete, cycle, d4, long_tournament, path
-from qk import INF, InstanceTooLarge, QkError, build, reverse
+from qk import INF, InstanceTooLarge, build, reverse
 from qk import qt
 from qk.edgelist import emit
 from qk.qt import (
     FORWARD,
     RANDOM,
-    GenConfig,
     certify_qt,
     is_k_quasi_transitive,
     mix_seed,
@@ -98,16 +98,20 @@ class TestRecognition:
         assert all(v.u == v.path[0] and v.v == v.path[-1] for v in vs)
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setenv("QK_ENUM_CAP", "3")
-        with pytest.raises(InstanceTooLarge):
-            is_k_quasi_transitive(d4(), 2)
-
-    @pytest.mark.parametrize("text", ["", "abc", " 12", "12 ", "1_0", "+3", "-1", "\u0661"])
-    def test_cap_reads_only_ascii_digits(self, monkeypatch, text):
-        monkeypatch.setenv("QK_ENUM_CAP", text)
-        with pytest.raises(QkError, match=r"^QK_ENUM_CAP must be a count of vertices") as info:
-            is_k_quasi_transitive(d4(), 2)
-        assert repr(text) in str(info.value)
+        # the cap is a constant: the environment variable that once moved
+        # it is ignored
+        monkeypatch.setenv("QK_ENUM_CAP", "100")
+        g = build(65, [])
+        calls = [
+            lambda: is_k_quasi_transitive(g, 2),
+            lambda: certify_qt(g, 2),
+            lambda: qt_closure(g, 2),
+            lambda: random_qt(65, 2, 0.5, 0),
+        ]
+        message = r"^instance with n=65 exceeds enumeration cap 64$"
+        for call in calls:
+            with pytest.raises(InstanceTooLarge, match=message):
+                call()
 
     @given(st.data())
     @settings(max_examples=60)
@@ -164,8 +168,30 @@ def _with_universal_vertices(n: int, universal: int, seed: int):
     return build(n, arcs)
 
 
+def _complete_without(n: int, cut_vertex_two: bool):
+    """The complete digraph without the arcs between 0 and 1; with
+    cut_vertex_two, also without the arcs between 0 and 2 and with no arc
+    into 2."""
+    gone = {(0, 1), (1, 0)}
+    if cut_vertex_two:
+        gone |= {(0, 2), (2, 0)} | {(u, 2) for u in range(n)}
+    return build(n, [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in gone])
+
+
 class TestPrunedRecognition:
     """Inputs where most starts, or most branches, hold no witness."""
+
+    @pytest.mark.parametrize("cut_vertex_two", [False, True])
+    @pytest.mark.parametrize("n, k", [(12, 6), (16, 8), (20, 10), (64, 12)])
+    def test_certify_stops_at_the_first_joined_pair(self, n, k, cut_vertex_two):
+        # a search that took the first witness path instead of the first
+        # joined pair entered vertex 1 as an intermediate while 2 was still
+        # unused, and ran past 20 s on the second shape at n = 20, k = 10;
+        # the pair scan answers each in a few milliseconds
+        g = _complete_without(n, cut_vertex_two)
+        t0 = time.perf_counter()
+        assert not certify_qt(g, k)
+        assert time.perf_counter() - t0 < 2.0
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_near_semicomplete_matches_sequence_scan(self, k):
@@ -208,14 +234,14 @@ def _closure_corpus_digest(k: int) -> str:
     h = hashlib.sha256()
     for i in range(150):
         rng = random.Random(mix_seed(k, i))
-        cfg = GenConfig(
+        g = random_qt(
             n=1 + i % 15,
             k=k,
             arc_prob=rng.uniform(0.05, 0.5),
             seed=rng.getrandbits(64),
-            orientation_rule=(RANDOM, FORWARD)[i // 15 % 2],
+            rule=(RANDOM, FORWARD)[i // 15 % 2],
         )
-        h.update(emit(random_qt(cfg)).encode("ascii"))
+        h.update(emit(g).encode("ascii"))
     return h.hexdigest()
 
 
@@ -274,26 +300,25 @@ class TestClosure:
 
 class TestRandomQt:
     def test_prob_zero_empty(self):
-        g = random_qt(GenConfig(n=6, k=2, arc_prob=0.0, seed=5))
+        g = random_qt(n=6, k=2, arc_prob=0.0, seed=5)
         assert g.arc_count == 0
 
     def test_prob_one_complete(self):
-        g = random_qt(GenConfig(n=5, k=3, arc_prob=1.0, seed=5))
+        g = random_qt(n=5, k=3, arc_prob=1.0, seed=5)
         assert g == complete(5)
 
     def test_deterministic(self):
-        cfg = GenConfig(n=8, k=2, arc_prob=0.3, seed=123)
-        assert random_qt(cfg) == random_qt(cfg)
+        assert random_qt(8, 2, 0.3, 123) == random_qt(8, 2, 0.3, 123)
 
     def test_output_is_qt(self):
         for seed in range(5):
-            g = random_qt(GenConfig(n=7, k=3, arc_prob=0.25, seed=seed))
+            g = random_qt(n=7, k=3, arc_prob=0.25, seed=seed)
             assert is_k_quasi_transitive(g, 3) == []
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            GenConfig(n=4, k=1, arc_prob=0.5, seed=0)
-        with pytest.raises(ValueError):
-            GenConfig(n=4, k=2, arc_prob=1.5, seed=0)
-        with pytest.raises(ValueError):
-            GenConfig(n=4, k=2, arc_prob=0.5, seed=0, orientation_rule="SIDEWAYS")
+        with pytest.raises(ValueError, match="^k must be >= 2$"):
+            random_qt(n=4, k=1, arc_prob=0.5, seed=0)
+        with pytest.raises(ValueError, match=r"^arc_prob must be in \[0, 1\]$"):
+            random_qt(n=4, k=2, arc_prob=1.5, seed=0)
+        with pytest.raises(ValueError, match="^unknown orientation rule 'SIDEWAYS'$"):
+            random_qt(n=4, k=2, arc_prob=0.5, seed=0, rule="SIDEWAYS")

@@ -17,7 +17,7 @@ from qk.checks import CheckResult, Violation
 from qk.digraph import Condensation, build, strong_components
 from qk.kernels import Counterexample, HuntLedger, KernelCertificate
 from qk.kings import AuditRow, KingReport
-from qk.qt import FORWARD, RANDOM, GenConfig, QtViolation
+from qk.qt import QtViolation
 
 SAMPLES = [
     Violation("distance-dichotomy", "back<=k+1", 2, (0, 3), "detail", 4),
@@ -29,7 +29,6 @@ SAMPLES = [
     AuditRow("tag", "expected", 3, None),
     KingReport(2, (0.0, math.inf), {3: (0,)}, True, (0,), 0, 1, (0,)),
     QtViolation((0, 1, 2)),
-    GenConfig(8, 2, 0.25, 11),
 ]
 
 
@@ -93,13 +92,11 @@ class TestEveryRecord:
 
 class TestConstruction:
     def test_defaults(self):
-        assert GenConfig(8, 2, 0.25, 11).orientation_rule == RANDOM
-        assert GenConfig(8, 2, 0.25, 11, FORWARD).orientation_rule == FORWARD
         assert KingReport(2, (), {}, False, None, None, 0, ()).counting_audit == ()
 
     def test_missing_field(self):
         with pytest.raises(TypeError, match="missing field 'seed'"):
-            GenConfig(8, 2, 0.25)
+            Counterexample(2, (5, 1), 3, ((0, 1),), 7)
         with pytest.raises(TypeError, match="missing field 'path'"):
             QtViolation()
 
@@ -110,16 +107,6 @@ class TestConstruction:
             QtViolation(path=(0, 1), paths=(0, 1))
         with pytest.raises(TypeError, match="unexpected or repeated"):
             QtViolation((0, 1), path=(0, 1))
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"k": 1}, "k must be >= 2"),
-        ({"arc_prob": 1.5}, r"arc_prob must be in \[0, 1\]"),
-        ({"orientation_rule": "SIDEWAYS"}, "unknown orientation rule 'SIDEWAYS'"),
-    ])
-    def test_gen_config_validates(self, kwargs, message):
-        fields = {"n": 4, "k": 2, "arc_prob": 0.5, "seed": 0, **kwargs}
-        with pytest.raises(ValueError, match=message):
-            GenConfig(**fields)
 
     def test_records_have_no_instance_dict(self):
         assert all(not hasattr(r, "__dict__") for r in SAMPLES)
