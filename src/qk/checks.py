@@ -548,7 +548,7 @@ def _merged(*parts: CheckResult) -> CheckResult:
 
 
 CHUNK = 6  # lemma trials per job: one turn of lemma_corpus's (want, plant) pattern
-MAX_LEMMA_K = 11  # run time climbs steeply: default sizes took 6.4 s at k = 10, 26 s at 11 on one Xeon CPU
+MAX_LEMMA_K = 11  # run time climbs with k: default sizes took 3.0 s at k = 10, 3.9 s at 11 on one Xeon CPU
 
 
 def run_suite(

@@ -69,22 +69,68 @@ def _reach_masks(succ: list[int]) -> list[int]:
     return reach
 
 
+def _walk(succ: list[int], pred: list[int], near: list[int], into_v: int,
+          x: int, rem: int, used: int) -> bool:
+    """Whether rem arcs lead from x to v through vertices outside used.
+
+    near[j] holds the vertices within j arcs of v and into_v is pred[v];
+    used holds x, v and the path so far.  With 7 or more arcs left, a BFS
+    back from v over unused vertices gives the only vertices that a
+    completion can pass through: the walk cuts when they are fewer than
+    the rem - 1 it needs, and enters no vertex outside them.
+    """
+    cand = succ[x] & near[rem - 1] & ~used
+    if rem >= 7:
+        ball = frontier = into_v & ~used
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= pred[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & ~(used | ball)
+            ball |= frontier
+        if ball.bit_count() < rem - 1:
+            return False
+        cand &= ball
+    if rem == 2:
+        return bool(cand)
+    if rem == 3:
+        last = into_v & ~used
+        while cand:
+            low = cand & -cand
+            if succ[low.bit_length() - 1] & last:
+                return True
+            cand ^= low
+        return False
+    while cand:
+        low = cand & -cand
+        if _walk(succ, pred, near, into_v, low.bit_length() - 1, rem - 1, used | low):
+            return True
+        cand ^= low
+    return False
+
+
 def _k_path_exists(succ: list[int], pred: list[int], u: int, v: int, k: int) -> bool:
     """Exact DFS for a k-arc vertex-distinct path u -> v over bitmask rows;
     pred must hold the same arcs as succ, reversed.
 
     A backward BFS capped at k-1 levels gives near[j], the vertices within
-    j arcs of v.  The query fails at once unless u is within k arcs of v,
-    and holds at once when u is exactly k arcs from v, since a shortest
-    path repeats no vertex.  Otherwise the DFS enters only a vertex from
-    which v is still within the arcs left, and never v itself before the
-    last arc; with two arcs left, one mask test settles both.
+    j arcs of v; its first level is pred[v] itself.  The query fails at
+    once unless u is within k arcs of v, and holds at once when u is
+    exactly k arcs from v, since a shortest path repeats no vertex.
+    Otherwise the DFS (_walk) enters only a vertex from which v is still
+    within the arcs left, and never v itself before the last arc; with two
+    or three arcs left, mask tests settle the level.
     """
     if u == v:
         return False
-    ball = frontier = 1 << v
-    near = [ball]
-    for _ in range(k - 1):
+    if k == 1:
+        return bool(succ[u] >> v & 1)
+    into_v = frontier = pred[v]
+    ball = 1 << v | into_v
+    near = [1 << v, ball]
+    for _ in range(k - 2):
         step = 0
         while frontier:
             low = frontier & -frontier
@@ -97,20 +143,7 @@ def _k_path_exists(succ: list[int], pred: list[int], u: int, v: int, k: int) -> 
         return False
     if not ball >> u & 1:
         return True
-    into_v = pred[v]
-
-    def walk(x: int, rem: int, used: int) -> bool:
-        if rem == 2:
-            return bool(succ[x] & into_v & ~used)
-        cand = succ[x] & near[rem - 1] & ~used
-        while cand:
-            low = cand & -cand
-            if walk(low.bit_length() - 1, rem - 1, used | low):
-                return True
-            cand ^= low
-        return False
-
-    return walk(u, k, 1 << u | 1 << v)
+    return _walk(succ, pred, near, into_v, u, k, 1 << u | 1 << v)
 
 
 def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
@@ -167,20 +200,26 @@ def _joined_pairs(succ: list[int], pred: list[int], reach: list[int], k: int):
     (u -> v is tried first).
 
     succ and pred are the successor and predecessor bitmask rows, reach the
-    reachability rows of _reach_masks.  A direction in which u cannot reach
-    v at all costs one bit test; only the others run the k-path query.
+    reachability rows of _reach_masks.  Row u visits only the vertices
+    above u outside succ[u] | pred[u], read once when the row starts.  A
+    direction in which u cannot reach v at all costs one bit test; only
+    the others run the k-path query.
 
-    Lazy on purpose: adjacency and reachability are read from the rows as
-    they are when the scan reaches a pair, so arcs the consumer adds between
+    Lazy on purpose: paths and reachability are read from the rows as they
+    are when the scan reaches a pair, so arcs the consumer adds between
     yields (keeping all three row lists current) are seen by the rest of
-    the scan.
+    the scan.  The consumer may add an arc only between the two ends of
+    the pair just yielded: row u's non-neighbours then stay exact, since
+    the one neighbour u gains is behind the scan.
     """
     n = len(succ)
     for u in range(n):
-        for v in range(u + 1, n):
-            if succ[u] >> v & 1 or succ[v] >> u & 1:
-                continue
-            if reach[u] >> v & 1 and _k_path_exists(succ, pred, u, v, k):
+        rest = ((1 << n) - (2 << u)) & ~(succ[u] | pred[u])
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if reach[u] & low and _k_path_exists(succ, pred, u, v, k):
                 yield u, v
             elif reach[v] >> u & 1 and _k_path_exists(succ, pred, v, u, k):
                 yield v, u

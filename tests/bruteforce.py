@@ -2,11 +2,12 @@
 
 Nothing here shares algorithmic code with the library: distances come from
 Floyd-Warshall instead of BFS, components from a reachability matrix instead
-of depth-first passes, path/violation enumeration from raw vertex permutations, kernels
-from a full power-set scan, the closure from a replayed pair scan that asks
-the permutation scan which pairs a k-arc path joins, and edge-list parsing
-from a two-pass reader that collects every arc before checking any.  Slow
-on purpose; keep n small.
+of depth-first passes, path/violation enumeration from raw vertex
+permutations, single k-path queries from a depth-first search with no cuts,
+kernels from a full power-set scan, the closure from a replayed pair scan
+that asks the permutation scan which pairs a k-arc path joins, and
+edge-list parsing from a two-pass reader that collects every arc before
+checking any.  Slow on purpose; keep n small.
 """
 
 from __future__ import annotations
@@ -68,6 +69,26 @@ def sequence_paths(d: Digraph, k: int) -> list[tuple[int, ...]]:
         if all(d.has_arc(seq[i], seq[i + 1]) for i in range(k)):
             out.append(seq)
     return sorted(out)
+
+
+def dfs_k_path(d: Digraph, u: int, v: int, k: int) -> bool:
+    """Whether a k-arc vertex-distinct path runs from u to v, by a plain
+    depth-first search through every such path of at most k arcs from u,
+    with no cut of any kind."""
+    path = [u]
+
+    def extend(x: int, depth: int) -> bool:
+        if depth == k:
+            return x == v
+        for y in d.adj[x]:
+            if y not in path:
+                path.append(y)
+                if extend(y, depth + 1):
+                    return True
+                path.pop()
+        return False
+
+    return extend(u, 0)
 
 
 def sequence_violations(d: Digraph, k: int) -> list[tuple[int, ...]]:

@@ -316,6 +316,23 @@ class TestGen:
         assert not out_file.exists()
         assert elapsed < 2.0
 
+    def test_dense_k12_closure_finishes(self, tmp_path):
+        # one k-path query of this closure (pair (4, 8), which no 12-arc
+        # path joins) once walked every shorter path from 4 and took 227 s;
+        # the walk's cut by what can still reach 8 ends it at once
+        out_file = tmp_path / "g.edges"
+        env = dict(os.environ, PYTHONPATH=str(Path(qk.__file__).resolve().parent.parent))
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qk.cli", "gen", "--n", "29", "--k", "12",
+             "--p", "0.05960569756547152", "--seed", "16180869312193780423", "-o", str(out_file)],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 0
+        assert proc.stdout == "c1c53fae256fd9a18efea0b3a0d70fe9714acdb0356d834340a882aaecbe075e\n"
+        assert content_digest(parse(out_file.read_text())) + "\n" == proc.stdout
+
 
 class TestHunt:
     def test_small_hunt_is_clean(self, capsys):

@@ -398,8 +398,17 @@ def test_repeated_k_values_stay_in_order(capsys, monkeypatch, deadline):
 def test_parallel_failure_stops_as_fast_as_the_serial_run(capsys, monkeypatch, deadline, argv):
     # A kings corpus above the enumeration cap fails in one worker after a
     # k = 2 job has succeeded, while the other worker is dealt the first
-    # k = 11 lemma job, which at these seeds takes about 46 s on one CPU.
-    # At k-list 2,3,11 the k = 2 kings job succeeds and k = 3's fails.
+    # k = 11 lemma job, made to sleep 45 s here; the serial loop fails
+    # before any k = 11 job.  At k-list 2,3,11 the k = 2 kings job
+    # succeeds and k = 3's fails.
+    corpus = checks.lemma_corpus
+
+    def slow_at_11(k, *args):
+        if k == 11:
+            time.sleep(45)
+        return corpus(k, *args)
+
+    monkeypatch.setattr(checks, "lemma_corpus", slow_at_11)
     monkeypatch.setattr(fanout, "cpus", lambda: 1)
     assert main(argv) == 3
     serial = capsys.readouterr()
