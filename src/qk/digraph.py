@@ -11,9 +11,9 @@ so a dense row costs one big-int operation rather than one step per arc.
 
 A Digraph is immutable, so it derives each of these from `masks` at most
 once, on first use, and keeps it:
-- `adj`, the out-neighbours of each vertex as an ascending tuple, which
-  makes traversal and serialization order canonical;
-- `pred`, the predecessor bitmask rows;
+- `adj`, the out-neighbours of each vertex as an ascending tuple, for
+  the loops that step through one arc at a time (the k-path DFS);
+- `pred`, the predecessor bitmask rows, one transpose of `masks`;
 - `dist`, the all-pairs distance rows (`distance_matrix`);
 - `ecc`, the out-eccentricities, one BFS per vertex; each row is dropped
   as soon as its maximum is taken, so `ecc` never holds the n x n matrix;
@@ -64,12 +64,10 @@ class Digraph:
     def pred(self) -> tuple[int, ...]:
         """Predecessor rows: bit x of pred[y] is set iff x -> y is an arc."""
         if self._pred is None:
-            pred = [0] * self.n
-            for x, row in enumerate(self.adj):
-                bit = 1 << x
-                for y in row:
-                    pred[y] |= bit
-            self._pred = tuple(pred)
+            # transpose: the grid spells masks[n-1..0], column n-1-y is pred[y]
+            n = self.n
+            grid = "".join([bin(row | 1 << n)[3:] for row in reversed(self.masks)])
+            self._pred = tuple(map(int, [grid[y::n] for y in reversed(range(n))], [2] * n))
         return self._pred
 
     @property

@@ -10,27 +10,34 @@ Two readers share the work.  The bulk reader takes only texts it can prove
 well formed: ASCII, every line (the last one included) two runs of digits
 joined by one space and ended by LF, a header with n at most MAX_VERTICES
 and m equal to the number of arc lines, and arcs that are in range, not
-loops and pairwise distinct.  The emitter's output is such a text.  Any
-other text goes to the line loop, which alone decides what is wrong with a
-text and on which line, and reads comments, blank lines, tabs and CRLF.
+loops and pairwise distinct.  The emitter's output is such a text.  Ids
+are looked up in a table of str(v), v < n; a chunk with any other id (a
+leading zero, out of range, too long) is read again by int().  Any other
+text goes to the line loop, which alone decides what is wrong with a text
+and on which line, and reads comments, blank lines, tabs and CRLF.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import compress
 
 from .base import MAX_VERTICES
 from .digraph import Digraph
 from .errors import EdgeListParseError
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin(row) digits as compress() flags
+
 
 def emit(d: Digraph) -> str:
-    """Canonical edge-list text for d."""
+    """Canonical edge-list text for d; bin(row) picks each row's heads."""
+    names = [str(v) for v in range(d.n)]
     out = [f"{d.n} {d.arc_count}\n"]
-    for u, row in enumerate(d.adj):
+    for u, row in enumerate(d.masks):
         if row:
             head = f"{u} "
-            out.append(head + f"\n{head}".join(map(str, row)) + "\n")
+            flags = bin(row)[:1:-1].encode().translate(_FLAGS)
+            out.append(head + f"\n{head}".join(compress(names, flags)) + "\n")
     return "".join(out)
 
 
@@ -48,9 +55,9 @@ def _bulk_parse(data: bytes) -> Digraph | None:
 
     The shape check runs at C speed: deleting the digits must leave one
     " \n" per line, and no field may be empty.  The arcs are then read a
-    chunk of lines at a time; an out-of-range id is an IndexError, a field
-    int() refuses (more than 4,300 digits) a ValueError, and loops and
-    duplicates show in the finished rows.
+    chunk of lines at a time (by the id table, else by int()); an id out
+    of range is an IndexError, a field int() refuses (over 4,300 digits)
+    a ValueError, and loops and duplicates show in the finished rows.
     """
     shape = data.translate(None, b"0123456789")
     lines = shape.count(b" \n")
@@ -64,9 +71,14 @@ def _bulk_parse(data: bytes) -> Digraph | None:
             return None
         masks = [0] * n
         bits = [1 << v for v in range(n)]
+        ids = {str(v).encode(): v for v in range(n)}
         while start < len(data):
             end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
-            fields = map(int, data[start:end].split())
+            tokens = data[start:end].split()
+            try:
+                fields = iter(list(map(ids.__getitem__, tokens)))
+            except KeyError:  # a leading zero, an id out of range or too long
+                fields = map(int, tokens)
             for a, b in zip(fields, fields):
                 masks[a] |= bits[b]
             start = end

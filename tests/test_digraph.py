@@ -79,6 +79,26 @@ class TestReverse:
     def test_involution(self, g):
         assert reverse(reverse(g)) == g
 
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 500])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+    def test_pred_is_the_per_arc_definition(self, n, p):
+        # pred is one transpose of the rows; around 64 a row spans a
+        # machine-word boundary
+        rng = random.Random(n * 1000 + int(p * 100))
+        arcs = [(x, y) for x in range(n) for y in range(n) if x != y and rng.random() < p]
+        pred = [0] * n
+        for x, y in arcs:
+            pred[y] |= 1 << x
+        g = build(n, arcs)
+        assert g.pred == tuple(pred)
+        assert reverse(g).masks == g.pred
+        assert reverse(reverse(g)) == g
+
+    def test_pred_of_a_path_at_the_header_cap(self):
+        g = path(4096)
+        assert g.pred == (0, *(1 << y - 1 for y in range(1, 4096)))
+        assert reverse(reverse(g)) == g
+
     @given(digraphs())
     def test_distance_duality(self, g):
         dm = distance_matrix(g)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import qk.edgelist
 from bruteforce import two_pass_parse
 from instances import chorded_path, cycle, d4, long_tournament, two_cycles
-from qk import build
+from qk import build, census, construct_kplus2_kernel, find_kplus1_king_fast
 from qk.edgelist import (
-    MAX_VERTICES, _bulk_parse, content_digest, emit, parse, read_digraph, write_digraph,
+    _CHUNK, MAX_VERTICES, _bulk_parse, content_digest, emit, parse, read_digraph, write_digraph,
 )
 from qk.errors import EdgeListParseError
 from strategies import digraphs
@@ -27,6 +27,11 @@ class TestEmit:
 
     def test_isolated_vertices(self):
         assert emit(build(3, [(2, 0)])) == "3 1\n2 0\n"
+
+    @given(st.one_of(digraphs(), st.integers(0, 70).map(lambda n: build(n, []))))
+    def test_matches_text_built_from_arcs(self, d):
+        arcs = d.arcs()
+        assert emit(d) == f"{d.n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
 
 
 class TestParse:
@@ -214,6 +219,33 @@ class TestBulkReader:
             tracemalloc.stop()
         assert peak <= 3_000_000
 
+    def test_id_table_falls_back_chunk_by_chunk(self, lt500):
+        # a leading zero in the second chunk is read by int(); an id out of
+        # range in the third makes the bulk reader decline, and the line
+        # loop then reports the same error as the oracle
+        _, text = lt500
+        lines = text.split("\n")
+        offsets = [0]
+        for line in lines:
+            offsets.append(offsets[-1] + len(line) + 1)
+        start = offsets[1]
+        second = next(i for i, at in enumerate(offsets) if at > start + 1.5 * _CHUNK)
+        third = next(i for i, at in enumerate(offsets) if at > start + 2.5 * _CHUNK)
+        u, v = lines[second].split()
+        lines[second] = f"0{u} {v}"
+        zeroed = "\n".join(lines)
+        assert _bulk_parse(zeroed.encode("ascii")) == two_pass_parse(zeroed) == parse(text)
+        u, _ = lines[third].split()
+        lines[third] = f"{u} 500"
+        bad = "\n".join(lines)
+        assert _bulk_parse(bad.encode("ascii")) is None
+        with pytest.raises(EdgeListParseError) as expected:
+            two_pass_parse(bad)
+        with pytest.raises(EdgeListParseError) as got:
+            parse(bad)
+        assert (got.value.line, got.value.message) == (expected.value.line, expected.value.message)
+        assert got.value.line == third + 1
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -235,6 +267,21 @@ class TestBulkReader:
     def test_reads_unsorted_arcs_and_leading_zeros(self, text, arcs):
         n = int(text.split()[0])
         assert _bulk_parse(text.encode("ascii")) == build(n, arcs) == two_pass_parse(text)
+
+
+class TestWholeRows:
+    def test_file_commands_build_no_arc_tuples(self, lt500, tmp_path):
+        # the file path works on whole bitmask rows: reading, digesting and
+        # the king and kernel work never build the per-arc `adj` tuples
+        _, text = lt500
+        p = tmp_path / "lt500.edges"
+        p.write_text(text)
+        d = read_digraph(str(p))
+        content_digest(d)
+        assert find_kplus1_king_fast(d, 4) is not None
+        assert construct_kplus2_kernel(d, 4).verified
+        assert not census(d, 4).failed_audits
+        assert d._adj is None
 
 
 class TestDigest:
