@@ -5,14 +5,12 @@ repeated arc in the same direction (opposite arcs forming a digon are fine).
 
 A Digraph stores its arcs once, as successor bitmask rows: row x is a
 Python int with bit y set for each arc x -> y.  Equality, hashing, degree
-counts and arc tests read the rows, and distances come from one
-bit-parallel BFS over them: a BFS level is the OR of its frontier's rows,
-so a dense row costs one big-int operation rather than one step per arc.
+counts, arc lists and the k-path searches read the rows, and distances come
+from one bit-parallel BFS over them: a BFS level is the OR of its frontier's
+rows, so a dense row costs one big-int operation rather than one step per arc.
 
 A Digraph is immutable, so it derives each of these from `masks` at most
 once, on first use, and keeps it:
-- `adj`, the out-neighbours of each vertex as an ascending tuple, for
-  the loops that step through one arc at a time (the k-path DFS);
 - `pred`, the predecessor bitmask rows, one transpose of `masks`;
 - `dist`, the all-pairs distance rows (`distance_matrix`);
 - `ecc`, the out-eccentricities, one BFS per vertex; each row is dropped
@@ -42,23 +40,15 @@ class Digraph:
     trusts its rows: masks[x] has no bit at x or at n and above.
     """
 
-    __slots__ = ("n", "masks", "_adj", "_pred", "_dist", "_ecc", "_cond")
+    __slots__ = ("n", "masks", "_pred", "_dist", "_ecc", "_cond")
 
     def __init__(self, n: int, masks: tuple[int, ...]) -> None:
         self.n = n
         self.masks = masks
-        self._adj: tuple[tuple[int, ...], ...] | None = None
         self._pred: tuple[int, ...] | None = None
         self._dist: tuple[tuple[float, ...], ...] | None = None
         self._ecc: tuple[float, ...] | None = None
         self._cond: Condensation | None = None
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Out-neighbours of each vertex, ascending."""
-        if self._adj is None:
-            self._adj = tuple(_bits(row) for row in self.masks)
-        return self._adj
 
     @property
     def pred(self) -> tuple[int, ...]:
@@ -107,7 +97,7 @@ class Digraph:
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs as ordered pairs, sorted lexicographically."""
-        return [(u, v) for u, row in enumerate(self.adj) for v in row]
+        return [(u, v) for u, row in enumerate(self.masks) for v in _bits(row)]
 
     @property
     def arc_count(self) -> int:
@@ -299,10 +289,5 @@ def induced(d: Digraph, s) -> tuple[Digraph, dict[int, int]]:
         if not (0 <= v < d.n):
             raise VertexOutOfRange(v, d.n)
     remap = {v: i for i, v in enumerate(verts)}
-    arcs = [
-        (remap[u], remap[v])
-        for u in verts
-        for v in d.adj[u]
-        if v in remap
-    ]
+    arcs = [(remap[u], remap[v]) for u in verts for v in _bits(d.masks[u]) if v in remap]
     return build(len(verts), arcs), remap

@@ -225,7 +225,7 @@ def census(d: Digraph, k: int) -> KingReport:
     if d.n == 0:
         raise ValueError("census needs at least one vertex")
     ecc = d.ecc
-    kings = {r: tuple(v for v in range(d.n) if ecc[v] <= r) for r in range(1, k + 3)}
+    kings = {r: all_r_kings(d, r) for r in range(1, k + 3)}
     comp = d.cond.initial_component
     fast: int | None = None
     rows: list[AuditRow] = []

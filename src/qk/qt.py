@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .base import FORWARD, RANDOM, Record
-from .digraph import Digraph, bfs, build
+from .digraph import Digraph, build
 from .errors import InstanceTooLarge
 
 ENUM_CAP = 64
@@ -146,51 +146,62 @@ def _k_path_exists(succ: list[int], pred: list[int], u: int, v: int, k: int) -> 
     return _walk(succ, pred, near, into_v, u, k, 1 << u | 1 << v)
 
 
+def _violations(succ: tuple[int, ...], within: list[int], path: tuple[int, ...],
+                rem: int, used: int, out: list[QtViolation]) -> None:
+    """Append to out a QtViolation for each way to extend path by rem >= 2
+    arcs through vertices outside used into F = within[0], in lexicographic
+    order; within[j] holds the vertices within j arcs of F."""
+    cand = succ[path[-1]] & within[rem - 1] & ~used
+    if rem > 2:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            _violations(succ, within, path + (low.bit_length() - 1,), rem - 1, used | low, out)
+        return
+    last = within[0] & ~used
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        y = low.bit_length() - 1
+        ends = succ[y] & last
+        while ends:
+            end = ends & -ends
+            out.append(QtViolation(path + (y, end.bit_length() - 1)))
+            ends ^= end
+
+
 def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
     """All witnesses against k-quasi-transitivity; empty list means yes.
 
     Lists every length-k path whose endpoints have no arc in either
-    direction, in lexicographic path order.  The search starts from each
-    vertex s that has a non-neighbour: one backward BFS gives every vertex
-    its hop count to the set F of s's non-neighbours, and the DFS enters a
-    vertex only if F is still within reach in the arcs left.  Subtrees cut
-    this way hold no witness, so the list is that of the full enumeration.
+    direction, in lexicographic path order; with k >= n there is none.  The
+    search starts from each vertex s that has a non-neighbour: a backward
+    BFS of k-1 levels gives within[j], the vertices within j arcs of the
+    set F of s's non-neighbours, and the walk enters a vertex only if F is
+    still within the arcs left.  Subtrees cut this way hold no witness, so
+    the list is that of the full enumeration.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     _require_enumerable(d.n)
-    n = d.n
-    succ = d.masks
-    pred = d.pred
-    everyone = (1 << n) - 1
+    n, succ, pred = d.n, d.masks, d.pred
+    if k >= n:
+        return []
     violations: list[QtViolation] = []
-    pathbuf = [0] * (k + 1)
-    visited = [False] * n
-
-    def extend(x: int, depth: int) -> None:
-        if depth == k:
-            # back[x] <= 0 was required to get here, so x is in F
-            violations.append(QtViolation(tuple(pathbuf)))
-            return
-        rem = k - depth - 1
-        for y in d.adj[x]:
-            if not visited[y] and back[y] <= rem:
-                visited[y] = True
-                pathbuf[depth + 1] = y
-                extend(y, depth + 1)
-                visited[y] = False
-
     for s in range(n):
-        far = everyone & ~(1 << s | succ[s] | pred[s])
+        far = ((1 << n) - 1) & ~(1 << s | succ[s] | pred[s])
         if not far:
             continue
-        back = bfs(pred, far)
-        if back[s] > k:
-            continue
-        visited[s] = True
-        pathbuf[0] = s
-        extend(s, 0)
-        visited[s] = False
+        within, frontier = [far], far
+        for _ in range(k - 1):
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= pred[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & ~within[-1]
+            within.append(within[-1] | frontier)
+        _violations(succ, within, (s,), k, 1 << s, violations)
     return violations
 
 
@@ -210,9 +221,12 @@ def _joined_pairs(succ: list[int], pred: list[int], reach: list[int], k: int):
     yields (keeping all three row lists current) are seen by the rest of
     the scan.  The consumer may add an arc only between the two ends of
     the pair just yielded: row u's non-neighbours then stay exact, since
-    the one neighbour u gains is behind the scan.
+    the one neighbour u gains is behind the scan.  With k >= n nothing is
+    yielded: a k-arc path needs k + 1 distinct vertices.
     """
     n = len(succ)
+    if k >= n:
+        return
     for u in range(n):
         rest = ((1 << n) - (2 << u)) & ~(succ[u] | pred[u])
         while rest:

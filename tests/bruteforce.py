@@ -26,9 +26,8 @@ def floyd_distances(d: Digraph) -> list[list[float]]:
     dist: list[list[float]] = [[INF] * n for _ in range(n)]
     for v in range(n):
         dist[v][v] = 0
-    for u in range(n):
-        for v in d.adj[u]:
-            dist[u][v] = 1
+    for u, v in d.arcs():
+        dist[u][v] = 1
     for m in range(n):
         dm = dist[m]
         for u in range(n):
@@ -80,8 +79,8 @@ def dfs_k_path(d: Digraph, u: int, v: int, k: int) -> bool:
     def extend(x: int, depth: int) -> bool:
         if depth == k:
             return x == v
-        for y in d.adj[x]:
-            if y not in path:
+        for y in range(d.n):
+            if d.has_arc(x, y) and y not in path:
                 path.append(y)
                 if extend(y, depth + 1):
                     return True

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from qk import Digraph, build
 
 
@@ -68,3 +70,10 @@ def no_two_king_blowup() -> Digraph:
         (4, 0), (4, 1), (4, 6), (4, 7), (5, 0), (5, 1), (5, 6), (5, 7),
         (6, 0), (6, 1), (6, 2), (6, 3), (7, 0), (7, 1), (7, 2), (7, 3),
     ])
+
+
+def gnp(n: int, p: float, seed: int) -> Digraph:
+    """Seeded loop-free G(n, p) digraph: each arc u -> v, u-major, with
+    probability p under random.Random(seed)."""
+    rng = random.Random(seed)
+    return build(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])

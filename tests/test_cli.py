@@ -77,6 +77,20 @@ class TestCheck:
         assert [v["path"] for v in doc["result"]["violations"]] == [[0, 1, 2], [0, 1, 3]]
 
 
+    def test_k_at_least_n_answers_at_once(self, tmp_path):
+        # no 64-arc path fits in 64 vertices; the search once ran past 120 s
+        out_file = tmp_path / "g.edges"
+        env = dict(os.environ, PYTHONPATH=str(Path(qk.__file__).resolve().parent.parent))
+        qk_cmd = [sys.executable, "-m", "qk.cli"]
+        subprocess.run([*qk_cmd, "gen", "--n", "64", "--k", "64", "--p", "0.1", "--seed", "1",
+                        "-o", str(out_file)], check=True, capture_output=True, env=env, timeout=30)
+        t0 = time.perf_counter()
+        proc = subprocess.run([*qk_cmd, "check", str(out_file), "--k", "64", "--json"],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert time.perf_counter() - t0 < 5
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"] == {"k": 64, "quasi_transitive": True, "violations": []}
+
     def test_semicomplete_32_at_k6(self, capsys, tmp_path):
         p = tmp_path / "lt32.edges"
         write_digraph(str(p), long_tournament(32))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from instances import complete, cycle, d4, long_tournament, path, two_cycles
+from instances import complete, cycle, d4, gnp, long_tournament, path, two_cycles
 from qk import (
     INF,
     DuplicateArc,
@@ -23,7 +23,7 @@ from qk import (
     reverse,
     strong_components,
 )
-from qk.digraph import bfs
+from qk.digraph import Digraph, bfs
 from qk.edgelist import emit, parse
 from qk.qt import FORWARD, RANDOM, qt_closure, random_qt
 from strategies import digraphs
@@ -33,13 +33,13 @@ class TestBuild:
     def test_d4_canonical(self):
         g = d4()
         assert g.n == 4
-        assert g.adj == ((1,), (2, 3), (3,), (2,))
+        assert g.arcs() == [(0, 1), (1, 2), (1, 3), (2, 3), (3, 2)]
         assert g.arc_count == 5
 
     def test_single_vertex(self):
         g = build(1, [])
         assert g.n == 1
-        assert g.adj == ((),)
+        assert g.arcs() == []
 
     def test_loop_rejected(self):
         with pytest.raises(LoopArc):
@@ -59,9 +59,10 @@ class TestBuild:
         g = build(2, [(0, 1), (1, 0)])
         assert g.has_arc(0, 1) and g.has_arc(1, 0)
 
-    def test_adjacency_sorted_regardless_of_input_order(self):
+    def test_arcs_sorted_regardless_of_input_order(self):
         g = build(4, [(1, 3), (1, 2), (0, 1), (2, 3), (3, 2)])
         assert g == d4()
+        assert g.arcs() == sorted(g.arcs())
 
 
 class TestReverse:
@@ -162,11 +163,6 @@ class TestDistances:
                         assert dm[u][w] <= dm[u][v] + dm[v][w]
 
 
-def _sparse_digraph(n: int, p: float, seed: int):
-    rng = random.Random(seed)
-    return build(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
-
-
 class TestBitsetBfs:
     """Rows wider than one machine word, checked against Floyd-Warshall."""
 
@@ -178,21 +174,21 @@ class TestBitsetBfs:
         assert g.dist[0][129] == 129
 
     def test_sparse_100_with_unreachable_pairs(self):
-        g = _sparse_digraph(100, 0.015, seed=7)
+        g = gnp(100, 0.015, seed=7)
         fw = tuple(tuple(row) for row in bruteforce.floyd_distances(g))
         assert g.dist == fw
         assert g.ecc == tuple(max(row) for row in fw)
         assert any(INF in row for row in g.dist)
         assert any(1 < x < INF for row in g.dist for x in row)
 
-    def test_masks_agree_with_adj(self):
-        for g in (d4(), long_tournament(130), _sparse_digraph(100, 0.015, seed=7), build(0, [])):
+    def test_masks_agree_with_arcs(self):
+        for g in (d4(), long_tournament(130), gnp(100, 0.015, seed=7), build(0, [])):
             assert len(g.masks) == g.n
-            for x in range(g.n):
-                assert [y for y in range(g.n) if g.masks[x] >> y & 1] == list(g.adj[x])
+            rows = [[y for y in range(g.n) if g.masks[x] >> y & 1] for x in range(g.n)]
+            assert g.arcs() == [(x, y) for x in range(g.n) for y in rows[x]]
 
     def test_start_set_is_minimum_over_members(self):
-        g = _sparse_digraph(100, 0.03, seed=11)
+        g = gnp(100, 0.03, seed=11)
         rows = [distances_from(g, s) for s in range(g.n)]
         for members in ((0,), (3, 70), (5, 64, 65, 99), tuple(range(0, 100, 9))):
             start = sum(1 << s for s in members)
@@ -332,20 +328,25 @@ class TestDerivedViews:
         made = _producers(g, k, seed)
         for name, d in made.items():
             n, masks = d.n, d.masks
-            assert len(masks) == n and len(d.adj) == n, name
+            assert len(masks) == n, name
+            rows = [[y for y in range(n) if masks[x] >> y & 1] for x in range(n)]
             for x in range(n):
                 assert not masks[x] >> n and not masks[x] >> x & 1, name
-                assert list(d.adj[x]) == [y for y in range(n) if masks[x] >> y & 1], name
+            assert d.arcs() == [(x, y) for x in range(n) for y in rows[x]], name
             pred = [0] * n
             for u, v in d.arcs():
                 pred[v] |= 1 << u
             assert d.pred == tuple(pred), name
-            assert [d.out_degree(x) for x in range(n)] == [len(row) for row in d.adj], name
+            assert [d.out_degree(x) for x in range(n)] == [len(row) for row in rows], name
             assert d.arc_count == len(d.arcs()), name
-            assert d.max_out_degree() == max((len(row) for row in d.adj), default=0), name
+            assert d.max_out_degree() == max((len(row) for row in rows), default=0), name
         for a in made.values():
             for b in made.values():
                 same_arcs = (a.n, set(a.arcs())) == (b.n, set(b.arcs()))
                 assert (a == b) == same_arcs
                 if same_arcs:
                     assert hash(a) == hash(b)
+
+    def test_rows_and_four_derived_views_only(self):
+        # no per-arc view: a Digraph holds its rows, pred, dist, ecc and cond
+        assert Digraph.__slots__ == ("n", "masks", "_pred", "_dist", "_ecc", "_cond")

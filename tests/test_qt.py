@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from instances import chorded_path, complete, cycle, d4, long_tournament, path
+from instances import chorded_path, complete, cycle, d4, gnp, long_tournament, path
 from qk import INF, InstanceTooLarge, build, reverse
 from qk import qt
 from qk.edgelist import emit
@@ -142,6 +142,42 @@ class TestRecognition:
         for call in calls:
             with pytest.raises(InstanceTooLarge, match=message):
                 call()
+
+    def test_leaves_no_cyclic_garbage(self):
+        # a DFS nested in each recognition call once left a reference cycle
+        # for the cyclic collector, 2,762 objects over these 20 calls
+        graphs = [gnp(12, 0.2, seed) for seed in range(20)]
+        gc.collect()
+        gc.disable()
+        try:
+            for g in graphs:
+                is_k_quasi_transitive(g, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_k_at_least_n_needs_no_search(self):
+        # a k-arc path needs k + 1 distinct vertices
+        for n in range(7):
+            for seed in range(4):
+                g = gnp(n, 0.6, seed)
+                for k in range(max(n, 2), n + 3):
+                    assert [v.path for v in is_k_quasi_transitive(g, k)] == []
+                    assert bruteforce.sequence_violations(g, k) == []
+                    assert certify_qt(g, k)
+                    assert qt_closure(g, k) == g
+
+    def test_k_at_least_n_is_fast_at_the_cap(self):
+        # these once searched every path of the digraph: G(28, 0.12) at
+        # k = 28 ran past 30 s, and at n = 64, k = 4096 certify_qt took 2.0 s
+        # and random_qt 1.1 s
+        g28, g64 = gnp(28, 0.12, 1), gnp(64, 0.1, 1)
+        t0 = time.perf_counter()
+        assert is_k_quasi_transitive(g28, 28) == []
+        assert certify_qt(g64, 4096)
+        # the closure adds nothing to the seed draw
+        assert random_qt(64, 4096, 0.1, 1) == g64
+        assert time.perf_counter() - t0 < 1.0
 
     @given(st.data())
     @settings(max_examples=60)
