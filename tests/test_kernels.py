@@ -224,13 +224,32 @@ LEDGER_DIGESTS = {
     5: "81513dfeae390dd4728e366f3c2725c0156cdc1bfb2864a48651a233654846d3",
 }
 
+# The same digest for the benchmark's hunt shape, hunt_conjecture(k,
+# trials=300, n_max=15, base_seed=5), keyed by (k, radii); radii None is
+# the default (k+1, k).  The (3, 2) ledger holds 18 rechecked hits.
+BENCH_SHAPE_LEDGER_DIGESTS = {
+    (2, None): "6d6d02a96d23c63ab6a179cd8197992387eaa5fe9ea80bebce876ed32c100cef",
+    (3, None): "18598d9b62b4b224c21decbd23fbec824ccda971b52e930f792cf968b2ce5aac",
+    (4, None): "11f96139b75444b9ceb868cce4e373b9e765921012cb8405e2929b5725555167",
+    (5, None): "71366436e086b4453512510be2a6cff4d59ac84ff7a6844777e173101e193c0a",
+    (3, (3, 2)): "314c7af713fe0d3b6fafbe415b5f2ef21d2d8fb0630a13b1226c6297131c0e2c",
+}
+
+
+def _ledger_digest(ledger) -> str:
+    return hashlib.sha256(json.dumps(jsonable(ledger), sort_keys=True).encode()).hexdigest()
+
 
 class TestHunt:
     @pytest.mark.parametrize("k", sorted(LEDGER_DIGESTS))
     def test_ledger_pinned(self, k):
         ledger = hunt_conjecture(k, trials=200, n_max=13, base_seed=5)
-        doc = json.dumps(jsonable(ledger), sort_keys=True)
-        assert hashlib.sha256(doc.encode()).hexdigest() == LEDGER_DIGESTS[k]
+        assert _ledger_digest(ledger) == LEDGER_DIGESTS[k]
+
+    @pytest.mark.parametrize("k, radii", list(BENCH_SHAPE_LEDGER_DIGESTS))
+    def test_bench_shape_ledger_pinned(self, k, radii):
+        ledger = hunt_conjecture(k, trials=300, n_max=15, base_seed=5, radii=radii)
+        assert _ledger_digest(ledger) == BENCH_SHAPE_LEDGER_DIGESTS[k, radii]
 
     def test_smoke_run_finds_kernels_everywhere(self):
         led = hunt_conjecture(2, trials=30, n_max=6, base_seed=7)
