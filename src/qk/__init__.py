@@ -52,6 +52,7 @@ _EXPORTS = {
         "construct_kplus2_kernel",
         "exhaustive_kernel_search",
         "hunt_conjecture",
+        "min_kernel_size",
         "recheck_counterexample",
         "verify_kernel",
     ),

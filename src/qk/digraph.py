@@ -11,7 +11,9 @@ rows, so a dense row costs one big-int operation rather than one step per arc.
 
 A Digraph is immutable, so it derives each of these from `masks` at most
 once, on first use, and keeps it:
-- `pred`, the predecessor bitmask rows, one transpose of `masks`;
+- `pred`, the predecessor bitmask rows, one transpose of `masks`, taken
+  set bit by set bit on sparse rows; a generator that already holds them
+  passes them to the constructor instead;
 - `dist`, the all-pairs distance rows (`distance_matrix`);
 - `ecc`, the out-eccentricities, one BFS per vertex; each row is dropped
   as soon as its maximum is taken, so `ecc` never holds the n x n matrix;
@@ -32,20 +34,28 @@ from .errors import DuplicateArc, LoopArc, VertexOutOfRange
 
 INF = math.inf
 
+# Rows spelled out as binary strings cost one digit per vertex, walked set
+# bit by set bit about 64 digits per arc (CPython 3.11, n = 500..4096).  So
+# Digraph.pred walks the bits when n * n exceeds _SPARSE times the arc
+# count, and edgelist.emit walks a row with fewer than n / _SPARSE bits.
+_SPARSE = 64
+
 
 class Digraph:
     """Immutable loop-free digraph stored as successor bitmask rows.
 
     Use :func:`build` to construct one with validation; the constructor
-    trusts its rows: masks[x] has no bit at x or at n and above.
+    trusts its rows: masks[x] has no bit at x or at n and above, and pred,
+    when given, holds the same arcs reversed.
     """
 
     __slots__ = ("n", "masks", "_pred", "_dist", "_ecc", "_cond")
 
-    def __init__(self, n: int, masks: tuple[int, ...]) -> None:
+    def __init__(self, n: int, masks: tuple[int, ...],
+                 pred: tuple[int, ...] | None = None) -> None:
         self.n = n
         self.masks = masks
-        self._pred: tuple[int, ...] | None = None
+        self._pred = pred
         self._dist: tuple[tuple[float, ...], ...] | None = None
         self._ecc: tuple[float, ...] | None = None
         self._cond: Condensation | None = None
@@ -54,10 +64,17 @@ class Digraph:
     def pred(self) -> tuple[int, ...]:
         """Predecessor rows: bit x of pred[y] is set iff x -> y is an arc."""
         if self._pred is None:
-            # transpose: the grid spells masks[n-1..0], column n-1-y is pred[y]
             n = self.n
-            grid = "".join([bin(row | 1 << n)[3:] for row in reversed(self.masks)])
-            self._pred = tuple(map(int, [grid[y::n] for y in reversed(range(n))], [2] * n))
+            if self.arc_count * _SPARSE < n * n:
+                pred = [0] * n
+                for x, row in enumerate(self.masks):
+                    for y in _bits(row):
+                        pred[y] |= 1 << x
+                self._pred = tuple(pred)
+            else:
+                # the grid spells masks[n-1..0], column n-1-y is pred[y]
+                grid = "".join([bin(row | 1 << n)[3:] for row in reversed(self.masks)])
+                self._pred = tuple(map(int, [grid[y::n] for y in reversed(range(n))], [2] * n))
         return self._pred
 
     @property
@@ -146,7 +163,7 @@ def build(n: int, arc_list) -> Digraph:
 
 def reverse(d: Digraph) -> Digraph:
     """The digraph with every arc reversed (an involution)."""
-    return Digraph(d.n, d.pred)
+    return Digraph(d.n, d.pred, d.masks)
 
 
 def _bits(row: int) -> tuple[int, ...]:
@@ -277,6 +294,16 @@ def strong_components(d: Digraph) -> Condensation:
         if not out & ~comp:
             terminal.append(idx)
     return Condensation(comps, frozenset(initial), frozenset(terminal))
+
+
+def max_degree_vertex(rows, comp) -> int:
+    """Smallest vertex of the non-empty vertex tuple comp whose out-degree
+    over the bitmask rows (`d.masks`, or `d.pred` for in-degree), counted
+    inside comp, is maximum."""
+    if len(comp) == 1:
+        return comp[0]
+    members = sum(1 << v for v in comp)
+    return min(comp, key=lambda v: (-(rows[v] & members).bit_count(), v))
 
 
 def induced(d: Digraph, s) -> tuple[Digraph, dict[int, int]]:

@@ -23,21 +23,26 @@ import hashlib
 from itertools import compress
 
 from .base import MAX_VERTICES
-from .digraph import Digraph
+from .digraph import _SPARSE, Digraph, _bits
 from .errors import EdgeListParseError
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin(row) digits as compress() flags
 
 
 def emit(d: Digraph) -> str:
-    """Canonical edge-list text for d; bin(row) picks each row's heads."""
-    names = [str(v) for v in range(d.n)]
-    out = [f"{d.n} {d.arc_count}\n"]
+    """Canonical edge-list text for d; bin(row) picks each row's heads, or
+    a walk over its set bits when they are fewer than n / _SPARSE."""
+    n = d.n
+    names = [str(v) for v in range(n)]
+    out = [f"{n} {d.arc_count}\n"]
     for u, row in enumerate(d.masks):
         if row:
             head = f"{u} "
-            flags = bin(row)[:1:-1].encode().translate(_FLAGS)
-            out.append(head + f"\n{head}".join(compress(names, flags)) + "\n")
+            if row.bit_count() * _SPARSE < n:
+                tails = [names[v] for v in _bits(row)]
+            else:
+                tails = compress(names, bin(row)[:1:-1].encode().translate(_FLAGS))
+            out.append(head + f"\n{head}".join(tails) + "\n")
     return "".join(out)
 
 

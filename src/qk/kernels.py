@@ -1,13 +1,17 @@
-"""(k,l)-kernels: verification, construction, exhaustive search, and a
-randomized hunt for a k-quasi-transitive digraph with no (k+1,k)-kernel.
+"""(k,l)-kernels: verification, construction, minimum size, exhaustive
+search, and a randomized hunt for a k-quasi-transitive digraph with no
+(k+1,k)-kernel.
 
 A (k,l)-kernel is a vertex set S that is k-independent (every two distinct
 members sit at directed distance >= k in BOTH directions) and l-absorbent
 (every outside vertex reaches some member within l steps).  The headline
 construction: in a k-quasi-transitive digraph, picking one maximum
 out-degree vertex inside each initial strong component of the REVERSED
-digraph yields a (k+2, k+1)-kernel.  Whether (k+1, k) is always attainable
-is open; hunt_conjecture searches for a refutation.
+digraph yields a (k+2, k+1)-kernel.  Any absorbent set needs a member in
+each terminal component, so when that same pick is l-absorbent its size
+is the minimum kernel size (min_kernel_size); only the other digraphs need
+the subset search.  Whether (k+1, k) is always attainable is open;
+hunt_conjecture searches for a refutation.
 """
 
 from __future__ import annotations
@@ -17,9 +21,8 @@ import random as _random
 from collections import Counter
 
 from .base import Record
-from .digraph import Digraph, bfs, build, distances_from
+from .digraph import Digraph, bfs, build, distances_from, max_degree_vertex
 from .errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
-from .kings import max_degree_vertex
 from .qt import certify_qt, mix_seed, random_qt
 
 VERIFIED = "VERIFIED"
@@ -106,10 +109,7 @@ def construct_kplus2_kernel(d: Digraph, k: int) -> KernelCertificate:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    cond = d.cond
-    s = tuple(
-        sorted(max_degree_vertex(d.pred, cond.components[idx]) for idx in cond.terminal)
-    )
+    s = _terminal_pick(d)
     cert = verify_kernel(d, s, k + 2, k + 1)
     if not cert.verified:
         raise NotQuasiTransitiveInput(
@@ -117,6 +117,35 @@ def construct_kplus2_kernel(d: Digraph, k: int) -> KernelCertificate:
             f"input is not {k}-quasi-transitive"
         )
     return cert
+
+
+def _terminal_pick(d: Digraph) -> tuple[int, ...]:
+    """One vertex of largest in-degree within its component (smallest id
+    on ties) from each terminal strong component of d, ascending."""
+    cond = d.cond
+    return tuple(
+        sorted(max_degree_vertex(d.pred, cond.components[idx]) for idx in cond.terminal)
+    )
+
+
+def min_kernel_size(d: Digraph, k: int, l: int) -> int | None:
+    """Size of a smallest (k, l)-kernel of d, or None if d has none.
+
+    A vertex of a terminal strong component reaches only that component,
+    so every l-absorbent set has a member in each of the t terminal
+    components.  Members of distinct terminal components never reach each
+    other, so _terminal_pick is k-independent for every k; one backward
+    BFS from it over `d.pred` settles its l-absorbency, and when it
+    absorbs, t is the minimum.  Otherwise the answer is that of
+    exhaustive_kernel_search, which refuses orders above SEARCH_CAP.
+    """
+    if k < 1 or l < 1:
+        raise ValueError("kernel radii must be >= 1")
+    pick = _terminal_pick(d)
+    if max(bfs(d.pred, sum(1 << v for v in pick)), default=0) <= l:
+        return len(pick)
+    kernel = exhaustive_kernel_search(d, k, l)
+    return None if kernel is None else len(kernel)
 
 
 def exhaustive_kernel_search(d: Digraph, k: int, l: int) -> tuple[int, ...] | None:
@@ -262,8 +291,10 @@ def hunt_conjecture(
 
     Each trial draws an order in [n_min, n_max] and an arc density around
     the sparse regime (expected degree 0.5..2.5), generates a
-    k-quasi-transitive digraph, and runs the complete kernel search.  A
-    trial with no kernel is recheck_counterexample'd before it is recorded.
+    k-quasi-transitive digraph, and takes its minimum kernel size from
+    min_kernel_size: one vertex per terminal component when that set
+    absorbs, else the complete subset search.  A trial with no kernel is
+    recheck_counterexample'd before it is recorded.
     Fully deterministic in (k, trials, n_max, base_seed, radii, n_min).
 
     Each trial is one job of qk.fanout.fan_out, so trials may run in
@@ -290,9 +321,9 @@ def hunt_conjecture(
         n = rng.randint(n_min, n_max)
         p = min(1.0, rng.uniform(0.5, 2.5) / n)
         d = random_qt(n, k, p, rng.getrandbits(64))
-        kernel = exhaustive_kernel_search(d, rr[0], rr[1])
-        if kernel is not None:
-            return len(kernel)
+        size = min_kernel_size(d, rr[0], rr[1])
+        if size is not None:
+            return size
         ce = Counterexample(k=k, radii=rr, n=d.n, arcs=tuple(d.arcs()), trial=t, seed=seed)
         if not recheck_counterexample(ce):
             raise AssertionError(f"hunt hit failed recheck: {ce}")

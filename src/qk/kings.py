@@ -13,7 +13,7 @@ into a diagnosable error instead of a silently wrong king.
 from __future__ import annotations
 
 from .base import Record
-from .digraph import Digraph, distances_from
+from .digraph import Digraph, distances_from, max_degree_vertex
 from .errors import NotQuasiTransitiveInput
 
 
@@ -34,15 +34,6 @@ def _component_out_degrees(rows, comp) -> dict[int, int]:
     only arcs into comp."""
     members = sum(1 << v for v in comp)
     return {v: (rows[v] & members).bit_count() for v in comp}
-
-
-def max_degree_vertex(rows, comp) -> int:
-    """Smallest vertex of the non-empty vertex set comp whose out-degree
-    over the bitmask rows (`d.masks`, or `d.pred` for in-degree), counted
-    inside comp, is maximum."""
-    degs = _component_out_degrees(rows, comp)
-    dmax = max(degs.values())
-    return min(v for v, dv in degs.items() if dv == dmax)
 
 
 def degree_threshold_vertices(d: Digraph, k: int) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .base import FORWARD, RANDOM, Record
-from .digraph import Digraph, build
+from .digraph import Digraph
 from .errors import InstanceTooLarge
 
 ENUM_CAP = 64
@@ -249,7 +249,8 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
     the result is certified k-quasi-transitive.  Terminates because the arc
     count strictly grows and is bounded by n(n-1).
 
-    The arcs live in successor and predecessor bitmask rows.  Reachability
+    The arcs live in successor and predecessor bitmask rows, and the
+    result keeps both, so it never transposes its rows.  Reachability
     rows are kept exact as arcs are added (incremental transitive closure,
     Italiano 1986): a new arc a -> b that a could not already use to reach
     b gives every vertex that reaches a all that b reaches.  Pairs that
@@ -260,21 +261,23 @@ def qt_closure(d: Digraph, k: int, rule: str = RANDOM, seed: int = 0) -> Digraph
     if rule not in (RANDOM, FORWARD):
         raise ValueError(f"unknown orientation rule {rule!r}")
     _require_enumerable(d.n)
-    rng = random.Random(seed)
+    rng = None  # seeded at the first coin: a closure that adds no arc needs none
     succ, pred = list(d.masks), list(d.pred)
     reach = _reach_masks(succ)
     while True:
         added = False
         for a, b in _joined_pairs(succ, pred, reach, k):
-            if rule == RANDOM and rng.random() >= 0.5:
-                a, b = b, a
+            if rule == RANDOM:
+                rng = rng or random.Random(seed)
+                if rng.random() >= 0.5:
+                    a, b = b, a
             succ[a] |= 1 << b
             pred[b] |= 1 << a
             if not reach[a] >> b & 1:
                 _spread(reach, 1 << a, reach[b])
             added = True
         if not added:
-            return Digraph(d.n, tuple(succ))
+            return Digraph(d.n, tuple(succ), tuple(pred))
 
 
 def random_qt(n: int, k: int, arc_prob: float, seed: int, rule: str = RANDOM) -> Digraph:
@@ -282,18 +285,22 @@ def random_qt(n: int, k: int, arc_prob: float, seed: int, rule: str = RANDOM) ->
     with probability arc_prob, then close it under the k-quasi-transitivity
     condition with the orientation rule.  Deterministic per seed.  An
     arc_prob outside [0, 1], then an order above the enumeration cap, fails
-    before any arc is drawn; k and rule are checked by qt_closure."""
+    before any arc is drawn; k and rule are checked by qt_closure.  Arcs
+    are drawn u-major, straight into successor and predecessor rows."""
     if not 0.0 <= arc_prob <= 1.0:
         raise ValueError("arc_prob must be in [0, 1]")
     _require_enumerable(n)
     rng = random.Random(seed)
-    arcs = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.random() < arc_prob
-    ]
-    base = build(n, arcs)
+    draw = rng.random
+    succ, pred = [0] * n, [0] * n
+    for u in range(n):
+        row, bit = 0, 1 << u
+        for v in range(n):
+            if v != u and draw() < arc_prob:
+                row |= 1 << v
+                pred[v] |= bit
+        succ[u] = row
+    base = Digraph(n, tuple(succ), tuple(pred))
     return qt_closure(base, k, rule, seed=rng.getrandbits(64))
 
 

@@ -23,6 +23,7 @@ from qk import (
     reverse,
     strong_components,
 )
+from qk import digraph
 from qk.digraph import Digraph, bfs
 from qk.edgelist import emit, parse
 from qk.qt import FORWARD, RANDOM, qt_closure, random_qt
@@ -81,10 +82,11 @@ class TestReverse:
         assert reverse(reverse(g)) == g
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 500])
-    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.05, 0.5, 1.0])
     def test_pred_is_the_per_arc_definition(self, n, p):
-        # pred is one transpose of the rows; around 64 a row spans a
-        # machine-word boundary
+        # pred is one transpose of the rows, set bit by set bit below
+        # p = 1/64 (so at 0.01) and through a string above it; around 64 a
+        # row spans a machine-word boundary
         rng = random.Random(n * 1000 + int(p * 100))
         arcs = [(x, y) for x in range(n) for y in range(n) if x != y and rng.random() < p]
         pred = [0] * n
@@ -94,6 +96,11 @@ class TestReverse:
         assert g.pred == tuple(pred)
         assert reverse(g).masks == g.pred
         assert reverse(reverse(g)) == g
+
+    def test_long_tournament_takes_the_string_transpose(self):
+        g = long_tournament(500)
+        assert g.arc_count * digraph._SPARSE >= g.n * g.n
+        assert path(4096).arc_count * digraph._SPARSE < 4096 * 4096
 
     def test_pred_of_a_path_at_the_header_cap(self):
         g = path(4096)

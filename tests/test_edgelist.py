@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qk.edgelist
 from bruteforce import two_pass_parse
-from instances import chorded_path, cycle, d4, long_tournament, two_cycles
+from instances import chorded_path, cycle, d4, gnp, long_tournament, two_cycles
 from qk import build, census, construct_kplus2_kernel, find_kplus1_king_fast
 from qk.edgelist import (
     _CHUNK, MAX_VERTICES, _bulk_parse, content_digest, emit, parse, read_digraph, write_digraph,
@@ -30,6 +30,15 @@ class TestEmit:
 
     @given(st.one_of(digraphs(), st.integers(0, 70).map(lambda n: build(n, []))))
     def test_matches_text_built_from_arcs(self, d):
+        arcs = d.arcs()
+        assert emit(d) == f"{d.n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+
+    @pytest.mark.parametrize("n", [64, 130, 500])
+    @pytest.mark.parametrize("p", [0.005, 0.02, 0.3])
+    def test_sparse_and_dense_rows(self, n, p):
+        # a row with fewer than n / 64 heads is walked bit by bit, any
+        # other row spelled out in binary; these sizes mix both
+        d = gnp(n, p, seed=n)
         arcs = d.arcs()
         assert emit(d) == f"{d.n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
 

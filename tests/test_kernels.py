@@ -12,13 +12,16 @@ from instances import chorded_path, complete, cycle, d4, path, two_cycles
 from json_oracle import jsonable
 from qk import build
 from qk.errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
+from qk import kernels
 from qk.kernels import (
     Counterexample,
     _combinations_kernel,
     _kernel_tables,
+    _terminal_pick,
     construct_kplus2_kernel,
     exhaustive_kernel_search,
     hunt_conjecture,
+    min_kernel_size,
     recheck_counterexample,
     verify_kernel,
 )
@@ -213,6 +216,52 @@ class TestExhaustiveSearch:
         s = exhaustive_kernel_search(d, 3, 2)
         if s is not None:
             assert verify_kernel(d, s, 3, 2).verified
+
+
+def _size(kernel):
+    return None if kernel is None else len(kernel)
+
+
+class TestMinKernelSize:
+    @given(digraphs(max_n=6))
+    @settings(deadline=None)
+    def test_matches_powerset_oracle(self, d):
+        # the pick reaches across no terminal component, so it is
+        # independent at every radius
+        assert verify_kernel(d, _terminal_pick(d), d.n + 1, 1).independent
+        for k, l in ((2, 1), (3, 2), (5, 1)):
+            assert min_kernel_size(d, k, l) == _size(bruteforce.powerset_kernel(d, k, l))
+
+    def test_matches_search_on_generated_input(self, monkeypatch):
+        fallbacks = []
+
+        def counted(d, k, l):
+            fallbacks.append((d.n, k, l))
+            return exhaustive_kernel_search(d, k, l)
+
+        monkeypatch.setattr(kernels, "exhaustive_kernel_search", counted)
+        settled = 0
+        for k, d in _seeded_qt(120, 15, seed=7):
+            for radii in ((k + 1, k), (k, k), (2, 1), (k + 2, k + 1), (1, 1), (5, 1)):
+                before = len(fallbacks)
+                size = min_kernel_size(d, *radii)
+                assert size == _size(exhaustive_kernel_search(d, *radii)), (d.n, k, radii)
+                settled += len(fallbacks) == before
+        assert fallbacks and settled >= 300
+
+    def test_kernel_free_input(self):
+        # the 3-cycle has no (2, 1)-kernel, and its pick {0} is 2 arcs
+        # from 1, so the answer comes from the fallback search
+        assert _terminal_pick(cycle(3)) == (0,)
+        assert min_kernel_size(cycle(3), 2, 1) is None
+        assert min_kernel_size(cycle(3), 3, 2) == 1
+
+    def test_empty_digraph(self):
+        assert min_kernel_size(build(0, []), 2, 1) == 0
+
+    def test_radii_validation(self):
+        with pytest.raises(ValueError):
+            min_kernel_size(d4(), 2, 0)
 
 
 # SHA-256 of the sorted-key JSON of hunt_conjecture(k, trials=200, n_max=13,

@@ -16,6 +16,7 @@ from instances import (
 )
 from qk import INF, Digraph, build, distances_from
 from qk.checks import check_king_theorems
+from qk.digraph import max_degree_vertex
 from qk.errors import NotQuasiTransitiveInput, VertexOutOfRange
 from qk.kings import (
     all_r_kings,
@@ -23,7 +24,6 @@ from qk.kings import (
     degree_threshold_vertices,
     final_disjunction,
     find_kplus1_king_fast,
-    max_degree_vertex,
 )
 from qk.qt import certify_qt, random_qt
 from strategies import digraphs
@@ -133,6 +133,17 @@ class TestFastFinder:
         assert find_kplus1_king_fast(d, 4) == 1
         assert certify_qt(d, 4)
         assert census(d, 4).fast_king == 1
+
+    @given(digraphs())
+    def test_max_degree_vertex_by_definition(self, d):
+        # smallest id among the largest degrees counted inside comp, over
+        # successor and predecessor rows alike
+        arcs = d.arcs()
+        for comp in d.cond.components:
+            for rows, end in ((d.masks, 0), (d.pred, 1)):
+                deg = {v: sum(a[end] == v and a[1 - end] in comp for a in arcs) for v in comp}
+                top = max(deg.values())
+                assert max_degree_vertex(rows, comp) == min(v for v in comp if deg[v] == top)
 
     def test_threshold_vertices_chorded_path(self):
         # cutoff = max_degree - k = 2 - 2 = 0, so every vertex with an

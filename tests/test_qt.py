@@ -15,6 +15,7 @@ import bruteforce
 from instances import chorded_path, complete, cycle, d4, gnp, long_tournament, path
 from qk import INF, InstanceTooLarge, build, reverse
 from qk import qt
+from qk.checks import _long_diameter_instance
 from qk.edgelist import emit
 from qk.qt import (
     FORWARD,
@@ -392,6 +393,40 @@ class TestRandomQt:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_draws_arcs_u_major(self):
+        # one coin per ordered pair u != v, u-major, then the closure seed
+        for seed in range(20):
+            n, k, p = 3 + seed % 9, 2 + seed % 4, 0.25
+            rng = random.Random(seed)
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+            want = qt_closure(build(n, arcs), k, RANDOM, seed=rng.getrandbits(64))
+            assert random_qt(n, k, p, seed) == want
+
+    def test_keeps_the_predecessor_rows(self):
+        # generated digraphs carry pred rows from the generator; they must
+        # be the per-arc transpose of masks
+        def check(d):
+            assert d._pred is not None
+            pred = [0] * d.n
+            for x, y in d.arcs():
+                pred[y] |= 1 << x
+            assert d.pred == tuple(pred)
+
+        for seed in range(30):
+            check(random_qt(2 + seed % 13, 2 + seed % 4, 0.2, seed))
+            check(random_qt(2 + seed % 13, 2 + seed % 4, 0.2, seed, FORWARD))
+        for k in (2, 3, 5):
+            for seed in range(10):
+                check(_long_diameter_instance(k, random.Random(seed), k + 3, 2 * k + 4, True))
+        # closures that add no arc: no arcs drawn, all arcs drawn, or an
+        # input that is already k-quasi-transitive
+        check(random_qt(7, 2, 0.0, 1))
+        check(random_qt(6, 3, 1.0, 1))
+        check(qt_closure(cycle(3), 2, FORWARD))
+        assert qt_closure(cycle(3), 2, FORWARD) == cycle(3)
+        for n in (0, 1):
+            check(random_qt(n, 2, 0.5, 3))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match="^k must be >= 2$"):
