@@ -3,15 +3,17 @@
 Exit codes: 0 success or property holds, 1 property fails (no king found
 with --fast, kernel refuted or absent, vacuous lemma coverage), 2 a
 counterexample-grade failure (hunt hit, census audit failure, checker
-violation), 3 usage, file, or input errors.  Reports are human-readable by
-default; --json emits a byte-stable document with the tool version, the
-command, a content digest of the (canonical) input, and the result.
+violation), 3 usage, file, or input errors, 141 stdout closed by its
+reader.  Reports are human-readable by default; --json emits a byte-stable
+document with the tool version, the command, a content digest of the
+(canonical) input, and the result.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -19,6 +21,7 @@ from .base import FORWARD, MAX_VERTICES, RANDOM, Record
 from .errors import NotQuasiTransitiveInput, QkError
 
 USAGE_EXIT = 3
+PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,8 +119,16 @@ def write_json(doc, write) -> None:
     flush()
 
 
-def _emit(args, command: str, digest, result, human: str) -> None:
+def _emit(args, command: str, d, result, human: str) -> None:
+    """Print the report: under --json the document, with the content
+    digest of the input digraph d (None for commands without a file),
+    else the human text."""
     if args.json:
+        digest = None
+        if d is not None:
+            from .edgelist import content_digest
+
+            digest = content_digest(d)
         doc = {
             "tool_version": __version__,
             "command": command,
@@ -135,7 +146,7 @@ def _fmt_set(vs) -> str:
 
 
 def _cmd_check(args) -> int:
-    from .edgelist import content_digest, read_digraph
+    from .edgelist import read_digraph
     from .qt import is_k_quasi_transitive
 
     d = read_digraph(args.file)
@@ -152,7 +163,7 @@ def _cmd_check(args) -> int:
     _emit(
         args,
         "check",
-        content_digest(d),
+        d,
         {"k": args.k, "quasi_transitive": ok, "violations": violations},
         human,
     )
@@ -160,7 +171,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_kings(args) -> int:
-    from .edgelist import content_digest, read_digraph
+    from .edgelist import read_digraph
     from .kings import all_r_kings, census, find_kplus1_king_fast
 
     d = read_digraph(args.file)
@@ -169,7 +180,6 @@ def _cmd_kings(args) -> int:
 
         if not certify_qt(d, args.k):
             raise NotQuasiTransitiveInput(f"input is not {args.k}-quasi-transitive")
-    digest = content_digest(d)
     if args.census:
         rep = census(d, args.k)
         failed = rep.failed_audits
@@ -186,7 +196,7 @@ def _cmd_kings(args) -> int:
         for row in rep.counting_audit:
             status = "info" if row.passed is None else ("PASS" if row.passed else "FAIL")
             lines.append(f"audit {row.tag}: expected {row.expected}, observed {row.observed} [{status}]")
-        _emit(args, "kings", digest, rep, "\n".join(lines))
+        _emit(args, "kings", d, rep, "\n".join(lines))
         return 2 if failed else 0
     if args.fast:
         king = find_kplus1_king_fast(d, args.k)
@@ -196,13 +206,13 @@ def _cmd_kings(args) -> int:
             if found
             else f"no ({args.k + 1})-king: multiple initial components"
         )
-        _emit(args, "kings", digest, {"k": args.k, "fast_king": king}, human)
+        _emit(args, "kings", d, {"k": args.k, "fast_king": king}, human)
         return 0 if found else 1
     kings = all_r_kings(d, args.k + 1)
     _emit(
         args,
         "kings",
-        digest,
+        d,
         {"k": args.k, "radius": args.k + 1, "kings": kings},
         f"({args.k + 1})-kings: {_fmt_set(kings) if kings else 'none'}",
     )
@@ -220,20 +230,19 @@ def _parse_ints(text: str, what: str, item) -> tuple[int, ...]:
 
 
 def _cmd_kernel(args) -> int:
-    from .edgelist import content_digest, read_digraph
+    from .edgelist import read_digraph
     from .kernels import construct_kplus2_kernel, exhaustive_kernel_search, verify_kernel
 
     if args.construct and (args.indep is not None or args.absorb is not None):
         raise QkError("--construct builds the (k+2, k+1)-kernel; it takes no --indep or --absorb")
     d = read_digraph(args.file)
-    digest = content_digest(d)
     if args.construct:
         cert = construct_kplus2_kernel(d, args.k)
         s = cert.candidate
         _emit(
             args,
             "kernel",
-            digest,
+            d,
             {"mode": "construct", "kernel": s, "certificate": cert, "status": cert.status},
             f"({args.k + 2}, {args.k + 1})-kernel: {_fmt_set(s)} [{cert.status}]",
         )
@@ -246,7 +255,7 @@ def _cmd_kernel(args) -> int:
         _emit(
             args,
             "kernel",
-            digest,
+            d,
             {"mode": "verify", "certificate": cert, "status": cert.status},
             f"{cert.status}: {_fmt_set(cert.candidate)} as a ({indep}, {absorb})-kernel{witness}",
         )
@@ -261,7 +270,7 @@ def _cmd_kernel(args) -> int:
     _emit(
         args,
         "kernel",
-        digest,
+        d,
         {"mode": "exhaustive", "radii": (indep, absorb), "kernel": s},
         human,
     )
@@ -467,7 +476,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`qk ... | head`): send what is left of the
+        # output to devnull, where the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_EXIT
     except NotQuasiTransitiveInput as exc:
         print(f"qk: error: input not quasi-transitive: {exc}", file=sys.stderr)
         return USAGE_EXIT

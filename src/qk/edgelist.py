@@ -15,12 +15,25 @@ are looked up in a table of str(v), v < n; a chunk with any other id (a
 leading zero, out of range, too long) is read again by int().  Any other
 text goes to the line loop, which alone decides what is wrong with a text
 and on which line, and reads comments, blank lines, tabs and CRLF.
+
+The digest hashes the canonical text row by row with the interpreter's
+built-in SHA-256 (`_sha2`, or `_sha256` before 3.12).  hashlib, which
+maps OpenSSL's libcrypto (about 3 MB of RSS and 5 ms of import per
+process), is the fallback where the built-in module is missing.
 """
 
 from __future__ import annotations
 
-import hashlib
+from collections.abc import Iterator
 from itertools import compress
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .base import MAX_VERTICES
 from .digraph import _SPARSE, Digraph, _bits
@@ -29,12 +42,13 @@ from .errors import EdgeListParseError
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin(row) digits as compress() flags
 
 
-def emit(d: Digraph) -> str:
-    """Canonical edge-list text for d; bin(row) picks each row's heads, or
-    a walk over its set bits when they are fewer than n / _SPARSE."""
+def _pieces(d: Digraph) -> Iterator[str]:
+    """The canonical edge-list text of d, the header and then the lines of
+    each row with an arc; bin(row) picks a row's heads, or a walk over its
+    set bits when they are fewer than n / _SPARSE."""
     n = d.n
     names = [str(v) for v in range(n)]
-    out = [f"{n} {d.arc_count}\n"]
+    yield f"{n} {d.arc_count}\n"
     for u, row in enumerate(d.masks):
         if row:
             head = f"{u} "
@@ -42,13 +56,21 @@ def emit(d: Digraph) -> str:
                 tails = [names[v] for v in _bits(row)]
             else:
                 tails = compress(names, bin(row)[:1:-1].encode().translate(_FLAGS))
-            out.append(head + f"\n{head}".join(tails) + "\n")
-    return "".join(out)
+            yield head + f"\n{head}".join(tails) + "\n"
+
+
+def emit(d: Digraph) -> str:
+    """Canonical edge-list text for d."""
+    return "".join(_pieces(d))
 
 
 def content_digest(d: Digraph) -> str:
-    """SHA-256 hex digest of the canonical edge list."""
-    return hashlib.sha256(emit(d).encode("ascii")).hexdigest()
+    """SHA-256 hex digest of the canonical edge list, fed a row at a time
+    so the text is never held whole."""
+    h = sha256()
+    for piece in _pieces(d):
+        h.update(piece.encode("ascii"))
+    return h.hexdigest()
 
 
 _CHUNK = 1 << 16  # bytes of arc lines split at a time, so no token list holds them all
@@ -186,7 +208,9 @@ def read_digraph(path: str) -> Digraph:
 
 def write_digraph(path: str, d: Digraph) -> str:
     """Write d canonically to path and return its content digest."""
-    text = emit(d)
+    h = sha256()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+        for piece in _pieces(d):
+            fh.write(piece)
+            h.update(piece.encode("ascii"))
+    return h.hexdigest()

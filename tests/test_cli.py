@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import qk
 import qk.cli
+import qk.edgelist
 import qk.fanout
 import qk.kernels
 from qk.cli import main
@@ -97,6 +98,33 @@ class TestCheck:
         code, doc = run_json(capsys, "check", str(p), "--k", "6")
         assert code == 0
         assert doc["result"] == {"k": 6, "quasi_transitive": True, "violations": []}
+
+
+class TestHumanReports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--k", "2"),
+            ("kings", "--k", "2"),
+            ("kings", "--k", "2", "--fast"),
+            ("kings", "--k", "2", "--census"),
+            ("kernel", "--k", "2"),
+            ("kernel", "--k", "2", "--construct"),
+            ("kernel", "--k", "2", "--verify", "1,3"),
+        ],
+    )
+    def test_compute_no_digest(self, capsys, d4_file, monkeypatch, argv):
+        # only the JSON document shows input_digest
+        command, *options = argv
+        expected = run(capsys, command, d4_file, *options)
+
+        def refuse(d):
+            raise AssertionError("digested in human mode")
+
+        monkeypatch.setattr(qk.edgelist, "content_digest", refuse)
+        assert run(capsys, command, d4_file, *options) == expected
+        with pytest.raises(AssertionError, match="human mode"):
+            main([command, d4_file, *options, "--json"])
 
 
 class TestKings:
@@ -801,12 +829,13 @@ class TestRawJsonBytes:
         assert len(doc["result"]["violations"]) > 1000
 
 
-def loaded_modules(code, *argv):
-    """Which of the modules named in WATCHED a fresh interpreter has
-    loaded after running code with argv."""
+def loaded_modules(code, *argv, watched=None):
+    """Which of the modules named in watched (default WATCHED) a fresh
+    interpreter has loaded after running code with argv."""
     code += "; print(' '.join(m for m in WATCHED if m in sys.modules))"
     src = str(Path(qk.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", f"import sys; WATCHED = {WATCHED!r}; {code}", *argv],
+    watched = WATCHED if watched is None else watched
+    proc = subprocess.run([sys.executable, "-c", f"import sys; WATCHED = {watched!r}; {code}", *argv],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split("\n")[-2].split()
@@ -827,6 +856,34 @@ def test_startup_imports_stay_lazy(tmp_path):
     write_digraph(str(p), d4())
     used = loaded_modules("import qk.cli; qk.cli.main(sys.argv[1:])", "check", str(p), "--k", "2")
     assert used == ["qk.qt", "qk.digraph", "qk.edgelist", "qk.errors", "qk.base", "qk.cli"]
+
+
+def test_file_commands_load_no_openssl(d4_file):
+    # the digest takes the interpreter's built-in SHA-256; hashlib's
+    # _hashlib would map OpenSSL's libcrypto into every file command
+    if loaded_modules("pass", watched=("_hashlib",)):
+        pytest.skip("the interpreter loads _hashlib before qk runs")
+    code = "import qk.cli; qk.cli.main(sys.argv[1:])"
+    assert loaded_modules(code, "check", d4_file, "--k", "2", "--json", watched=("_hashlib",)) == []
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_closed_stdout_exits_quietly(tmp_path, json_flag):
+    # `qk check FILE | head -1`: here the reader closed its end before qk
+    # wrote, so the first write meets the closed pipe
+    p = tmp_path / "er.edges"
+    p.write_text(_er_text(32, 0.12, 7))
+    src = str(Path(qk.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qk.cli", "check", str(p), "--k", "3", *json_flag],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == qk.cli.PIPE_EXIT == 141
+    assert proc.stderr == ""
 
 
 def top_level_modules(code):

@@ -296,9 +296,27 @@ class TestWholeRows:
 
 
 class TestDigest:
-    def test_matches_sha256_of_canonical_text(self):
-        d = d4()
-        assert content_digest(d) == hashlib.sha256(emit(d).encode()).hexdigest()
+    def test_matches_sha256_of_canonical_text(self, tmp_path):
+        # n = 0, no arc, rows walked bit by bit (fewer than n / 64 heads),
+        # rows spelled in binary, and a 943 KB text
+        p = tmp_path / "d.edges"
+        for d in (d4(), build(0, []), build(70, []), gnp(500, 0.005, seed=1), gnp(130, 0.3, seed=2),
+                  long_tournament(500)):
+            expected = hashlib.sha256(emit(d).encode()).hexdigest()
+            assert content_digest(d) == expected
+            assert write_digraph(str(p), d) == expected
+            assert p.read_text() == emit(d)
+
+    def test_peak_memory_stays_below_the_text(self, lt500):
+        # the text is hashed a row at a time, never held whole
+        d, text = lt500
+        tracemalloc.start()
+        try:
+            content_digest(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) / 4
 
     def test_formatting_invariant(self):
         # a sloppily formatted file digests identically once parsed
