@@ -74,6 +74,7 @@ _EXPORTS = {
         "mix_seed",
         "qt_closure",
         "random_qt",
+        "violation_batches",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

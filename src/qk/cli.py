@@ -40,9 +40,10 @@ def write_json(doc, write) -> None:
     """Write doc through write() as json.dumps(doc, sort_keys=True,
     indent=2) writes it, with qk's conversions: a record is an object of
     all of its fields, an infinite or NaN float is null and an integral
-    float an int, a tuple is an array, and mapping keys become str() of
-    themselves.  Any other type (subclasses of str, int, float, list and
-    tuple too) raises TypeError.
+    float an int, a tuple or an iterator is an array (an iterator drawn as
+    it is written), and mapping keys become str() of themselves.  Any other
+    type (subclasses of str, int, float, list and tuple too) raises
+    TypeError.
 
     The text goes out in batches of pieces, so memory does not grow with
     the document; strings are quoted by json's C escaper."""
@@ -77,13 +78,12 @@ def write_json(doc, write) -> None:
         elif isinstance(x, dict):
             keyed = {str(key): value for key, value in x.items()}
             members(sorted(keyed.items()), nl)
+        elif hasattr(x, "__next__"):
+            array(x, nl)
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
     def array(x, nl: str) -> None:
-        if not x:
-            append("[]")
-            return
         inner = nl + "  "
         sep = "[" + inner
         for v in x:
@@ -95,7 +95,7 @@ def write_json(doc, write) -> None:
             sep = "," + inner
             if len(parts) > _BATCH:
                 flush()
-        append(nl + "]")
+        append("[]" if sep[0] == "[" else nl + "]")
 
     def members(items, nl: str) -> None:
         if not items:
@@ -146,28 +146,24 @@ def _fmt_set(vs) -> str:
 
 
 def _cmd_check(args) -> int:
+    from itertools import chain
+
     from .edgelist import read_digraph
-    from .qt import is_k_quasi_transitive
+    from .qt import violation_batches
 
     d = read_digraph(args.file)
-    violations = is_k_quasi_transitive(d, args.k)
-    ok = not violations
-    human = ""
-    if not args.json:
-        lines = [
-            f"path {'->'.join(map(str, v.path))}: endpoints {v.u} and {v.v} non-adjacent"
-            for v in violations
-        ]
-        lines.append(f"{args.k}-quasi-transitive: {'yes' if ok else f'no ({len(violations)} violations)'}")
-        human = "\n".join(lines)
-    _emit(
-        args,
-        "check",
-        d,
-        {"k": args.k, "quasi_transitive": ok, "violations": violations},
-        human,
-    )
-    return 0 if ok else 1
+    rest = violation_batches(d, args.k)
+    first = next(rest, [])  # quasi_transitive is written before the violations
+    batches = chain([first], rest)
+    result = {"k": args.k, "quasi_transitive": not first, "violations": chain.from_iterable(batches)}
+    count = 0
+    for batch in () if args.json else batches:
+        count += len(batch)
+        sys.stdout.write("".join([
+            f"path {'->'.join(map(str, v.path))}: endpoints {v.u} and {v.v} non-adjacent\n" for v in batch
+        ]))
+    _emit(args, "check", d, result, f"{args.k}-quasi-transitive: {f'no ({count} violations)' if first else 'yes'}")
+    return 1 if first else 0
 
 
 def _cmd_kings(args) -> int:

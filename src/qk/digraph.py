@@ -12,8 +12,9 @@ rows, so a dense row costs one big-int operation rather than one step per arc.
 A Digraph is immutable, so it derives each of these from `masks` at most
 once, on first use, and keeps it:
 - `pred`, the predecessor bitmask rows, one transpose of `masks`, taken
-  set bit by set bit on sparse rows; a generator that already holds them
-  passes them to the constructor instead;
+  set bit by set bit on sparse rows and a band of columns at a time on
+  dense ones; a generator that already holds them passes them to the
+  constructor instead;
 - `dist`, the all-pairs distance rows (`distance_matrix`);
 - `ecc`, the out-eccentricities, one BFS per vertex; each row is dropped
   as soon as its maximum is taken, so `ecc` never holds the n x n matrix;
@@ -39,6 +40,11 @@ INF = math.inf
 # Digraph.pred walks the bits when n * n exceeds _SPARSE times the arc
 # count, and edgelist.emit walks a row with fewer than n / _SPARSE bits.
 _SPARSE = 64
+# Digraph.pred transposes dense rows _BAND columns (_LOW) at a time;
+# _DIGITS[i] maps a byte to b"1" where its bit i is set, else to b"0".
+_BAND = 256
+_LOW = (1 << _BAND) - 1
+_DIGITS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
 
 
 class Digraph:
@@ -62,19 +68,27 @@ class Digraph:
 
     @property
     def pred(self) -> tuple[int, ...]:
-        """Predecessor rows: bit x of pred[y] is set iff x -> y is an arc."""
+        """Predecessor rows: bit x of pred[y] is set iff x -> y is an arc.
+
+        Taken set bit by set bit below one arc per _SPARSE cells of the
+        n x n grid, else a band of _BAND columns at a time: the band's
+        grid holds each row's bits in the band as 32 little-endian bytes,
+        rows from the last up, so every 32nd byte from byte j >> 3 is
+        column j, which _DIGITS[j & 7] spells in binary for int().  The
+        grid takes 32 n bytes, not the 2 n^2 of all n columns at once."""
         if self._pred is None:
-            n = self.n
+            n, masks = self.n, self.masks
+            pred = [0] * n
             if self.arc_count * _SPARSE < n * n:
-                pred = [0] * n
-                for x, row in enumerate(self.masks):
+                for x, row in enumerate(masks):
                     for y in _bits(row):
                         pred[y] |= 1 << x
-                self._pred = tuple(pred)
             else:
-                # the grid spells masks[n-1..0], column n-1-y is pred[y]
-                grid = "".join([bin(row | 1 << n)[3:] for row in reversed(self.masks)])
-                self._pred = tuple(map(int, [grid[y::n] for y in reversed(range(n))], [2] * n))
+                for shift in range(0, n, _BAND):
+                    grid = b"".join([(row >> shift & _LOW).to_bytes(32, "little") for row in reversed(masks)])
+                    pred[shift:shift + _BAND] = [int(grid[j >> 3::32].translate(_DIGITS[j & 7]), 2)
+                                                 for j in range(min(_BAND, n - shift))]
+            self._pred = tuple(pred)
         return self._pred
 
     @property

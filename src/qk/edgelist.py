@@ -10,11 +10,14 @@ Two readers share the work.  The bulk reader takes only texts it can prove
 well formed: ASCII, every line (the last one included) two runs of digits
 joined by one space and ended by LF, a header with n at most MAX_VERTICES
 and m equal to the number of arc lines, and arcs that are in range, not
-loops and pairwise distinct.  The emitter's output is such a text.  Ids
-are looked up in a table of str(v), v < n; a chunk with any other id (a
-leading zero, out of range, too long) is read again by int().  Any other
-text goes to the line loop, which alone decides what is wrong with a text
-and on which line, and reads comments, blank lines, tabs and CRLF.
+loops and pairwise distinct.  The emitter's output is such a text.  It
+reads a text in blocks of whole lines, about _CHUNK bytes each, and holds
+one block at a time besides the rows: a file costs memory in its order n,
+not in its length.  Ids are looked up in a table of str(v), v < n; a block
+with any other id (a leading zero, out of range, too long) is read again
+by int().  Any other text goes to the line loop, which alone decides what
+is wrong with a text and on which line, and reads comments, blank lines,
+tabs and CRLF; a file the bulk reader declines is read again, whole.
 
 The digest hashes the canonical text row by row with the interpreter's
 built-in SHA-256 (`_sha2`, or `_sha256` before 3.12).  hashlib, which
@@ -25,6 +28,7 @@ process), is the fallback where the built-in module is missing.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from io import BytesIO
 from itertools import compress
 
 try:
@@ -73,49 +77,87 @@ def content_digest(d: Digraph) -> str:
     return h.hexdigest()
 
 
-_CHUNK = 1 << 16  # bytes of arc lines split at a time, so no token list holds them all
+_CHUNK = 1 << 14  # bytes read at a time; each block of whole lines is split on its own
 
 
-def _bulk_parse(data: bytes) -> Digraph | None:
-    """The digraph of data if the bulk reader can prove data well formed
-    (see the module docstring), else None.
+def _slices(seq):
+    """seq (bytes or str) in pieces of _CHUNK items."""
+    return (seq[i:i + _CHUNK] for i in range(0, len(seq), _CHUNK))
 
-    The shape check runs at C speed: deleting the digits must leave one
-    " \n" per line, and no field may be empty.  The arcs are then read a
-    chunk of lines at a time (by the id table, else by int()); an id out
-    of range is an IndexError, a field int() refuses (over 4,300 digits)
-    a ValueError, and loops and duplicates show in the finished rows.
+
+def _blocks(chunks) -> Iterator[bytes]:
+    """The bytes of chunks regrouped into blocks of whole lines: a block
+    ends at the last LF of a chunk and carries the partial line before it
+    from the chunks before.  Text after the last LF comes last, alone."""
+    head: list[bytes] = []
+    for chunk in chunks:
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*head, chunk[:cut]])
+            head = [chunk[cut:]]
+        else:
+            head.append(chunk)
+    if rest := b"".join(head):
+        yield rest
+
+
+def _bulk_read(chunks) -> Digraph | None:
+    """The digraph of the bytes of chunks if the bulk reader can prove
+    them well formed (see the module docstring), else None.  Only one
+    block of lines (_blocks) is held at a time.
+
+    The shape check runs at C speed per block: deleting the digits must
+    leave one " \n" per line, and no field may be empty.  The header
+    comes first; each later block's arcs are read by the id table, else
+    by int(), and the arc lines are counted against the header as they
+    come.  An id out of range is an IndexError, a field int() refuses
+    (over 4,300 digits) a ValueError, and loops and duplicates show in
+    the finished rows.
     """
-    shape = data.translate(None, b"0123456789")
-    lines = shape.count(b" \n")
-    if (not lines or len(shape) != 2 * lines or data[-1:] != b"\n"
-            or data[:1] == b" " or b"\n " in data or b" \n" in data):
-        return None
-    start = data.index(b"\n") + 1
+    masks: list[int] = []
+    m = -1  # until the header is read
+    arcs = 0
     try:
-        n, m = map(int, data[:start].split())
-        if n > MAX_VERTICES or m != lines - 1:
-            return None
-        masks = [0] * n
-        bits = [1 << v for v in range(n)]
-        ids = {str(v).encode(): v for v in range(n)}
-        while start < len(data):
-            end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
-            tokens = data[start:end].split()
+        for block in _blocks(chunks):
+            shape = block.translate(None, b"0123456789")
+            lines = shape.count(b" \n")
+            if (not lines or len(shape) != 2 * lines or block[:1] == b" "
+                    or b"\n " in block or b" \n" in block):
+                return None
+            if m < 0:
+                start = block.index(b"\n") + 1
+                n, m = map(int, block[:start].split())
+                if n > MAX_VERTICES:
+                    return None
+                masks = [0] * n
+                bits = [1 << v for v in range(n)]
+                ids = {str(v).encode(): v for v in range(n)}
+                block = block[start:]
+                lines -= 1
+            arcs += lines
+            if arcs > m:
+                return None
+            tokens = block.split()
             try:
                 fields = iter(list(map(ids.__getitem__, tokens)))
             except KeyError:  # a leading zero, an id out of range or too long
                 fields = map(int, tokens)
             for a, b in zip(fields, fields):
                 masks[a] |= bits[b]
-            start = end
     except (IndexError, ValueError):
+        return None
+    if arcs != m:  # too few arc lines, or no text at all
         return None
     if any(row >> x & 1 for x, row in enumerate(masks)):
         return None
     if sum(row.bit_count() for row in masks) != m:  # a duplicate set no new bit
         return None
-    return Digraph(n, tuple(masks))
+    return Digraph(len(masks), tuple(masks))
+
+
+def _bulk_parse(data: bytes) -> Digraph | None:
+    """_bulk_read over data, a _CHUNK at a time."""
+    return _bulk_read(_slices(data))
 
 
 def parse(text: str) -> Digraph:
@@ -127,7 +169,7 @@ def parse(text: str) -> Digraph:
     then a missing header or too few arcs at the end, then the first
     out-of-range id, loop or duplicate arc.
     """
-    d = _bulk_parse(text.encode("ascii")) if text.isascii() else None
+    d = _bulk_read(map(str.encode, _slices(text))) if text.isascii() else None
     return _parse_lines(text) if d is None else d
 
 
@@ -191,10 +233,13 @@ def read_digraph(path: str) -> Digraph:
     The file must be ASCII: a non-ASCII byte is a parse error on its line.
     """
     with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe: read it once, then as a file
+            fh = BytesIO(fh.read())
+        d = _bulk_read(iter(lambda: fh.read(_CHUNK), b""))
+        if d is not None:
+            return d
+        fh.seek(0)
         data = fh.read()
-    d = _bulk_parse(data)
-    if d is not None:
-        return d
     try:
         return _parse_lines(data.decode("ascii"))
     except UnicodeDecodeError as exc:

@@ -23,7 +23,6 @@ from collections import Counter
 from .base import Record
 from .digraph import Digraph, bfs, build, distances_from, max_degree_vertex
 from .errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
-from .qt import certify_qt, mix_seed, random_qt
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -257,6 +256,8 @@ def recheck_counterexample(ce: Counterexample) -> bool:
     re-certify quasi-transitivity, and re-run a complete kernel search by
     the plain subset scan, which shares no pruning with the search that
     found the hit."""
+    from .qt import certify_qt
+
     d = build(ce.n, list(ce.arcs))
     if not certify_qt(d, ce.k):
         return False
@@ -313,6 +314,7 @@ def hunt_conjecture(
     if rr[0] < 1 or rr[1] < 1:
         raise ValueError("kernel radii must be >= 1")
     from .fanout import fan_out  # loaded on use: qk's start-up imports no more
+    from .qt import mix_seed, random_qt  # and `qk kernel` never loads qt
 
     def trial(t: int) -> int | Counterexample:
         """The size of the kernel trial t finds, or its rechecked hit."""

@@ -12,6 +12,7 @@ vertices: an order above it raises InstanceTooLarge before any search.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from .base import FORWARD, RANDOM, Record
 from .digraph import Digraph
@@ -174,20 +175,30 @@ def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
     """All witnesses against k-quasi-transitivity; empty list means yes.
 
     Lists every length-k path whose endpoints have no arc in either
-    direction, in lexicographic path order; with k >= n there is none.  The
-    search starts from each vertex s that has a non-neighbour: a backward
-    BFS of k-1 levels gives within[j], the vertices within j arcs of the
-    set F of s's non-neighbours, and the walk enters a vertex only if F is
-    still within the arcs left.  Subtrees cut this way hold no witness, so
-    the list is that of the full enumeration.
+    direction, in lexicographic path order; with k >= n there is none.
+    The list is that of violation_batches, joined.
+    """
+    return [v for batch in violation_batches(d, k) for v in batch]
+
+
+def violation_batches(d: Digraph, k: int) -> Iterator[list[QtViolation]]:
+    """The witnesses of is_k_quasi_transitive, one list per start vertex
+    that has any, in lexicographic path order, so a caller can write them
+    out without holding them all.  k and the order are checked at the
+    first next().
+
+    The search starts from each vertex s that has a non-neighbour: a
+    backward BFS of k-1 levels gives within[j], the vertices within j arcs
+    of the set F of s's non-neighbours, and the walk enters a vertex only
+    if F is still within the arcs left.  Subtrees cut this way hold no
+    witness, so the lists are those of the full enumeration.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     _require_enumerable(d.n)
     n, succ, pred = d.n, d.masks, d.pred
     if k >= n:
-        return []
-    violations: list[QtViolation] = []
+        return
     for s in range(n):
         far = ((1 << n) - 1) & ~(1 << s | succ[s] | pred[s])
         if not far:
@@ -201,8 +212,10 @@ def is_k_quasi_transitive(d: Digraph, k: int) -> list[QtViolation]:
                 frontier ^= low
             frontier = step & ~within[-1]
             within.append(within[-1] | frontier)
-        _violations(succ, within, (s,), k, 1 << s, violations)
-    return violations
+        batch: list[QtViolation] = []
+        _violations(succ, within, (s,), k, 1 << s, batch)
+        if batch:
+            yield batch
 
 
 def _joined_pairs(succ: list[int], pred: list[int], reach: list[int], k: int):

@@ -822,6 +822,18 @@ class TestRawJsonBytes:
         assert code == expected_code
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
+    def test_human_check_bytes_pinned(self, capsys, tmp_path):
+        # the human report is written a start vertex's violations at a
+        # time; these are the bytes of the report built whole
+        p = tmp_path / "er.edges"
+        p.write_text(_er_text(32, 0.12, 7))
+        assert main(["check", str(p), "--k", "3"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("\n3-quasi-transitive: no (1334 violations)\n")
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "dd388645e441e5e206cee5488740375f3ed36ae68c1be7ec07e57329eec6ea15"
+        )
+
     def test_check_pin_has_many_violations(self, capsys, tmp_path):
         p = tmp_path / "er.edges"
         p.write_text(_er_text(32, 0.12, 7))
@@ -856,6 +868,10 @@ def test_startup_imports_stay_lazy(tmp_path):
     write_digraph(str(p), d4())
     used = loaded_modules("import qk.cli; qk.cli.main(sys.argv[1:])", "check", str(p), "--k", "2")
     assert used == ["qk.qt", "qk.digraph", "qk.edgelist", "qk.errors", "qk.base", "qk.cli"]
+    # a kernel construction needs no recognition: only the hunt loads qt
+    used = loaded_modules("import qk.cli; qk.cli.main(sys.argv[1:])", "kernel", str(p), "--k", "2",
+                          "--construct")
+    assert used == ["qk.kernels", "qk.digraph", "qk.edgelist", "qk.errors", "qk.base", "qk.cli"]
 
 
 def test_file_commands_load_no_openssl(d4_file):
@@ -884,6 +900,18 @@ def test_closed_stdout_exits_quietly(tmp_path, json_flag):
         os.close(write_end)
     assert proc.returncode == qk.cli.PIPE_EXIT == 141
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("comment", ["", "# a comment\n"])
+def test_reads_a_pipe(comment):
+    # a pipe cannot be read twice: the bulk reader takes it from memory,
+    # and a text it declines still reaches the line loop
+    src = str(Path(qk.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "qk.cli", "check", "/dev/stdin", "--k", "2"],
+                          input=comment + emit(d4()), capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.endswith("2-quasi-transitive: no (2 violations)\n")
 
 
 def top_level_modules(code):

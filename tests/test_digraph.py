@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -81,12 +82,13 @@ class TestReverse:
     def test_involution(self, g):
         assert reverse(reverse(g)) == g
 
-    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 500])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 500, 256, 257, 700])
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.05, 0.5, 1.0])
     def test_pred_is_the_per_arc_definition(self, n, p):
         # pred is one transpose of the rows, set bit by set bit below
-        # p = 1/64 (so at 0.01) and through a string above it; around 64 a
-        # row spans a machine-word boundary
+        # p = 1/64 (so at 0.01) and a band of 256 columns at a time above
+        # it; around 64 a row spans a machine-word boundary, and 257 and
+        # 700 leave a last band that is partial and not a whole byte
         rng = random.Random(n * 1000 + int(p * 100))
         arcs = [(x, y) for x in range(n) for y in range(n) if x != y and rng.random() < p]
         pred = [0] * n
@@ -101,6 +103,22 @@ class TestReverse:
         g = long_tournament(500)
         assert g.arc_count * digraph._SPARSE >= g.n * g.n
         assert path(4096).arc_count * digraph._SPARSE < 4096 * 4096
+
+    def test_dense_transpose_works_in_bands(self):
+        # one grid of all n columns spelled in binary took 2 n^2 bytes
+        # (2.2 MB here); a band of _BAND columns takes n / 8 bytes each.
+        # The working memory is the peak above the rows pred keeps
+        n = 1024
+        g = gnp(n, 0.25, seed=1)
+        assert g.arc_count * digraph._SPARSE >= n * n
+        tracemalloc.start()
+        try:
+            g.pred
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < n * n / 4
+        assert g.pred == build(n, [(y, x) for x, y in g.arcs()]).masks
 
     def test_pred_of_a_path_at_the_header_cap(self):
         g = path(4096)

@@ -1,7 +1,9 @@
 """File format: canonical emission, tolerant parsing, line-numbered errors."""
 
 import hashlib
+import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from bruteforce import two_pass_parse
 from instances import chorded_path, cycle, d4, gnp, long_tournament, two_cycles
 from qk import build, census, construct_kplus2_kernel, find_kplus1_king_fast
 from qk.edgelist import (
-    _CHUNK, MAX_VERTICES, _bulk_parse, content_digest, emit, parse, read_digraph, write_digraph,
+    _CHUNK, MAX_VERTICES, _bulk_parse, _parse_lines, content_digest, emit, parse, read_digraph,
+    write_digraph,
 )
 from qk.errors import EdgeListParseError
 from strategies import digraphs
@@ -220,8 +223,8 @@ class TestBulkReader:
             parse("# a long tournament\n" + text)
 
     def test_peak_memory_of_a_canonical_parse(self, lt500):
-        # the arcs are split 64 KiB at a time; the line loop, which splits
-        # this 0.9 MB text into its lines at once, peaks at 8 MB on it
+        # the text is read a block of lines at a time; the line loop, which
+        # splits this 0.9 MB text into its lines at once, peaks at 8 MB on it
         _, text = lt500
         tracemalloc.start()
         try:
@@ -229,7 +232,29 @@ class TestBulkReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3_000_000
+        assert peak <= 1_000_000
+
+    def test_file_peak_does_not_grow_with_the_file(self, lt500, tmp_path):
+        # LT500's file and one a quarter as long on the same 500 vertices:
+        # the reader holds one block and its tokens besides the rows, so
+        # the peaks differ by less than one block's tokens (a reader that
+        # held the file would differ by the 0.7 MB between them)
+        d, text = lt500
+        short = build(d.n, d.arcs()[::4])
+        peaks = []
+        for name, g in (("long", d), ("short", short)):
+            p = tmp_path / f"{name}.edges"
+            p.write_text(emit(g))
+            tracemalloc.start()
+            try:
+                assert read_digraph(str(p)) == g
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        block = text[:text.rindex("\n", 0, _CHUNK) + 1].encode().split()
+        tokens = sys.getsizeof(block) + sum(map(sys.getsizeof, block))
+        assert len(text) > 3.9 * len(emit(short))
+        assert abs(peaks[0] - peaks[1]) < tokens
 
     def test_id_table_falls_back_chunk_by_chunk(self, lt500):
         # a leading zero in the second chunk is read by int(); an id out of
@@ -279,6 +304,71 @@ class TestBulkReader:
     def test_reads_unsorted_arcs_and_leading_zeros(self, text, arcs):
         n = int(text.split()[0])
         assert _bulk_parse(text.encode("ascii")) == build(n, arcs) == two_pass_parse(text)
+
+
+def _fault(kind: str, lines: list[str], at: int, n: int) -> tuple[list[str], str]:
+    """lines (a canonical text's lines, header first, no LF) with one fault
+    of kind at line index at >= 2, and the text's ending."""
+    u, v = lines[at].split()
+    if kind == "leading zero":
+        lines[at] = f"0{u} {v}"
+    elif kind == "out of range":
+        lines[at] = f"{u} {n}"
+    elif kind == "loop":
+        lines[at] = f"{u} {u}"
+    elif kind == "duplicate":
+        lines[at] = lines[at - 1]
+    elif kind == "too few arcs":
+        del lines[at]
+    elif kind == "too many arcs":
+        lines.insert(at, lines[at])
+    elif kind == "CRLF line":
+        lines[at] += "\r"
+    elif kind == "comment line":
+        lines.insert(at, "# a comment")
+    elif kind == "non-ASCII byte":
+        lines.insert(at, "# caf\u00e9")
+    return lines, "" if kind == "missing final LF" else "\n"
+
+
+FAULTS = ["none", "leading zero", "out of range", "loop", "duplicate", "too few arcs",
+          "too many arcs", "missing final LF", "CRLF line", "comment line", "non-ASCII byte"]
+
+
+def _outcome(read, *args):
+    """The digraph read() returns, or the (line, message) it raises."""
+    try:
+        return read(*args)
+    except EdgeListParseError as exc:
+        return exc.line, exc.message
+
+
+class TestBlockBoundaries:
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(max_n=12).filter(lambda d: d.arc_count > 1), st.sampled_from(FAULTS),
+           st.floats(0.5, 1.0), st.integers(1, 24))
+    def test_every_reader_agrees(self, tmp_path_factory, d, kind, where, chunk):
+        # blocks of a few bytes put every line boundary, the header's end
+        # and the fault at or across a block boundary; the fault sits in
+        # the second half of the text, in a later block than the header
+        lines = emit(d).split("\n")[:-1]
+        at = max(2, min(len(lines) - 1, int(where * len(lines))))
+        lines, ending = _fault(kind, lines, at, d.n)
+        text = "\n".join(lines) + ending
+        p = tmp_path_factory.getbasetemp() / "blocks.edges"
+        p.write_bytes(text.encode())
+        expected = _outcome(_parse_lines, text)
+        with mock.patch.object(qk.edgelist, "_CHUNK", chunk):
+            assert _outcome(parse, text) == expected
+            got = _outcome(read_digraph, str(p))
+            bulk = _bulk_parse(text.encode())
+        if kind == "non-ASCII byte":  # a file must be ASCII; a str need not
+            expected = (at + 1, "non-ASCII byte 0xc3")
+        assert got == expected
+        if kind in ("none", "leading zero"):
+            assert bulk == expected == d
+        else:
+            assert bulk is None
 
 
 class TestWholeRows:

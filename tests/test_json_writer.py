@@ -85,3 +85,27 @@ def test_large_document_is_written_in_batches():
     assert "".join(chunks) == dumps(doc)
     assert len(chunks) > 10
     assert max(map(len, chunks)) < len("".join(chunks)) / 10
+
+
+def test_iterators_are_arrays_drawn_as_written():
+    # qk check hands its violations over as an iterator: each item is
+    # drawn as it is written, and the first batch goes out before the last
+    # item is drawn
+    drawn = []
+
+    def rows():
+        for i in range(20_000):
+            drawn.append(i)
+            yield (i, "x" * 10)
+
+    seen_at_write = []
+    parts = []
+
+    def write(text):
+        seen_at_write.append(len(drawn))
+        parts.append(text)
+
+    write_json({"empty": iter(()), "rows": rows()}, write)
+    assert "".join(parts) == dumps({"empty": [], "rows": [(i, "x" * 10) for i in range(20_000)]})
+    assert len(seen_at_write) > 10
+    assert seen_at_write[0] < 20_000 / 10

@@ -25,6 +25,7 @@ from qk.qt import (
     mix_seed,
     qt_closure,
     random_qt,
+    violation_batches,
 )
 
 
@@ -127,6 +128,26 @@ class TestRecognition:
         vs = is_k_quasi_transitive(g, 2)
         assert vs and [v.path for v in vs] == bruteforce.sequence_violations(g, 2)
         assert all(v.u == v.path[0] and v.v == v.path[-1] for v in vs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_batches_are_the_list_per_start_vertex(self, data):
+        from strategies import digraphs
+
+        g = data.draw(digraphs(max_n=9))
+        k = data.draw(st.integers(2, 5))
+        batches = list(violation_batches(g, k))
+        assert all(batches)
+        assert [v for batch in batches for v in batch] == is_k_quasi_transitive(g, k)
+        starts = [batch[0].u for batch in batches]
+        assert starts == sorted(set(starts))
+        assert all(v.u == batch[0].u for batch in batches for v in batch)
+
+    def test_batches_check_their_input_at_the_first_next(self):
+        for g, k, error in ((d4(), 1, ValueError), (build(65, []), 2, InstanceTooLarge)):
+            batches = violation_batches(g, k)
+            with pytest.raises(error):
+                next(batches)
 
     def test_cap(self, monkeypatch):
         # the cap is a constant: the environment variable that once moved
