@@ -16,8 +16,9 @@ once, on first use, and keeps it:
   dense ones; a generator that already holds them passes them to the
   constructor instead;
 - `dist`, the all-pairs distance rows (`distance_matrix`);
-- `ecc`, the out-eccentricities, one BFS per vertex; each row is dropped
-  as soon as its maximum is taken, so `ecc` never holds the n x n matrix;
+- `ecc`, the out-eccentricities: the row maxima of `dist` when it is
+  held, else one far sweep (`eccentricities`) that settles most vertices
+  from bounds and runs at most n + 1 BFS, never holding the n x n matrix;
 - `cond`, the strong components and which of them are initial or
   terminal (`strong_components`, two bitmask passes).
 
@@ -103,7 +104,8 @@ class Digraph:
         """Out-eccentricities: ecc[v] = max over u of d(v, u), INF iff some
         vertex is unreachable from v."""
         if self._ecc is None:
-            self._ecc = tuple(max(distances_from(self, v)) for v in range(self.n))
+            held = self._dist
+            self._ecc = eccentricities(self) if held is None else tuple(map(max, held))
         return self._ecc
 
     @property
@@ -222,6 +224,53 @@ def bfs(masks, start: int) -> list[float]:
         seen |= frontier
         level += 1
     return dist
+
+
+def eccentricities(d: Digraph) -> tuple[float, ...]:
+    """Out-eccentricities by one far sweep; read them as `d.ecc`.
+
+    A backward BFS from vertex 0 names p, the smallest vertex farthest
+    back from 0, and a BFS from p gives ecc(p).  The other vertices are
+    taken in order of decreasing d(p, w), those p misses first, and each
+    is settled without a BFS when one of three rules decides it:
+    - ecc(p) is INF and p reaches w: w misses what p misses;
+    - a predecessor of w is settled at INF: w misses what it misses;
+    - lo = ecc(p) - d(p, w) > 0 and a successor x of w is settled at
+      lo - 1: ecc(w) = lo, as lo <= ecc(w) <= ecc(x) + 1.
+    Any other vertex gets one BFS, so the sweep never runs more than
+    n + 1.  The settled vertices are kept in one bitmask per value, so a
+    rule costs one AND.
+    """
+    n = d.n
+    if not n:
+        return ()
+    masks, pred = d.masks, d.pred
+    back = bfs(pred, 1)
+    p = back.index(max(b for b in back if b < INF))
+    dp = distances_from(d, p)
+    ep = max(dp)
+    ecc = [ep] * n  # ecc(p), and INF for every vertex rule 1 settles
+    level = [0] * n  # level[e]: the vertices settled at eccentricity e
+    if ep < INF:
+        level[ep] = 1 << p
+        infinite = 0  # the vertices settled at INF
+        order = sorted(range(n), key=dp.__getitem__, reverse=True)[:-1]  # p comes last
+    else:
+        infinite = sum(1 << w for w, x in enumerate(dp) if x < INF)  # rule 1
+        order = [w for w, x in enumerate(dp) if x == INF]
+    for w in order:
+        if pred[w] & infinite:
+            e = INF
+        elif ep < INF and (lo := ep - dp[w]) > 0 and masks[w] & level[lo - 1]:
+            e = lo
+        else:
+            e = max(distances_from(d, w))
+        ecc[w] = e
+        if e < INF:
+            level[e] |= 1 << w
+        else:
+            infinite |= 1 << w
+    return tuple(ecc)
 
 
 def distance_matrix(d: Digraph) -> tuple[tuple[float, ...], ...]:

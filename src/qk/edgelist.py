@@ -17,7 +17,8 @@ not in its length.  Ids are looked up in a table of str(v), v < n; a block
 with any other id (a leading zero, out of range, too long) is read again
 by int().  Any other text goes to the line loop, which alone decides what
 is wrong with a text and on which line, and reads comments, blank lines,
-tabs and CRLF; a file the bulk reader declines is read again, whole.
+tabs and CRLF; a file the bulk reader declines is read again by the
+line loop, one block of lines at a time, so it is never held whole either.
 
 The digest hashes the canonical text row by row with the interpreter's
 built-in SHA-256 (`_sha2`, or `_sha256` before 3.12).  hashlib, which
@@ -170,18 +171,19 @@ def parse(text: str) -> Digraph:
     out-of-range id, loop or duplicate arc.
     """
     d = _bulk_read(map(str.encode, _slices(text))) if text.isascii() else None
-    return _parse_lines(text) if d is None else d
+    return _parse_lines(text.splitlines()) if d is None else d
 
 
-def _parse_lines(text: str) -> Digraph:
-    """parse() in one pass over the lines: the reader of every text the
-    bulk reader declines, and the only source of EdgeListParseError."""
+def _parse_lines(lines) -> Digraph:
+    """parse() in one pass over the lines of a text (str.splitlines()):
+    the reader of every text the bulk reader declines, and the only
+    source of EdgeListParseError."""
     n = m = -1  # until the header is read
     masks: list[int] = []
     count = 0
     fault: tuple[int, str] | None = None
     line_no = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
             continue
@@ -227,10 +229,27 @@ def _parse_lines(text: str) -> Digraph:
     return Digraph(n, tuple(masks))
 
 
+def _ascii_lines(chunks) -> Iterator[str]:
+    """The lines of the bytes of chunks as str.splitlines() splits their
+    whole text, split a block of whole LF-terminated lines (_blocks) at a
+    time.  A non-ASCII byte raises EdgeListParseError on its line."""
+    line_no = 0
+    for raw in _blocks(chunks):
+        try:
+            lines = raw.decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            line = line_no + len((raw[:exc.start].decode("ascii") + "x").splitlines())
+            raise EdgeListParseError(line, f"non-ASCII byte 0x{raw[exc.start]:02x}") from None
+        line_no += len(lines)
+        yield from lines
+
+
 def read_digraph(path: str) -> Digraph:
     """Parse the file at path; parse errors are tagged with the file name.
 
-    The file must be ASCII: a non-ASCII byte is a parse error on its line.
+    The file must be ASCII: a non-ASCII byte is a parse error on its line,
+    and it wins over any other fault in the file.  A file the bulk reader
+    declines is read again a block of lines at a time, never whole.
     """
     with open(path, "rb") as fh:
         if not fh.seekable():  # a pipe: read it once, then as a file
@@ -239,16 +258,16 @@ def read_digraph(path: str) -> Digraph:
         if d is not None:
             return d
         fh.seek(0)
-        data = fh.read()
-    try:
-        return _parse_lines(data.decode("ascii"))
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
-        raise EdgeListParseError(
-            line, f"non-ASCII byte 0x{data[exc.start]:02x}", source=path
-        ) from None
-    except EdgeListParseError as exc:
-        raise EdgeListParseError(exc.line, exc.message, source=path) from None
+        lines = _ascii_lines(iter(lambda: fh.read(_CHUNK), b""))
+        try:
+            try:
+                return _parse_lines(lines)
+            except EdgeListParseError:
+                for _ in lines:  # a non-ASCII byte further on raises instead
+                    pass
+                raise
+        except EdgeListParseError as exc:
+            raise EdgeListParseError(exc.line, exc.message, source=path) from None
 
 
 def write_digraph(path: str, d: Digraph) -> str:

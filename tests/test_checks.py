@@ -473,9 +473,22 @@ class TestAnalysedOnce:
         assert sum(calls["distances_from"].values()) == 1
 
     def test_census_builds_no_matrix(self, calls):
+        # the far sweep settles 35 of the 40 eccentricities from bounds
         census(long_tournament(40), 2)
         assert not calls["distance_matrix"]
-        assert sum(calls["distances_from"].values()) == 40
+        assert sum(calls["distances_from"].values()) == 5
+
+    def test_census_of_lt500_runs_few_bfs(self, calls):
+        census(long_tournament(500), 4)
+        assert not calls["distance_matrix"]
+        assert sum(calls["distances_from"].values()) <= 6
+
+    def test_held_matrix_gives_eccentricities_without_bfs(self, calls):
+        d = long_tournament(12)
+        rows = d.dist
+        bfs_for_matrix = sum(calls["distances_from"].values())
+        assert d.ecc == tuple(max(row) for row in rows)
+        assert sum(calls["distances_from"].values()) == bfs_for_matrix
 
 
 class TestGeneratedConsistency:

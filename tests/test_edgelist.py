@@ -256,6 +256,20 @@ class TestBulkReader:
         assert len(text) > 3.9 * len(emit(short))
         assert abs(peaks[0] - peaks[1]) < tokens
 
+    def test_commented_file_is_never_held_whole(self, lt500, tmp_path):
+        # one comment line sends LT500's file to the line loop; holding its
+        # bytes, a str copy and every line at once peaked at 9.4 MB
+        d, text = lt500
+        p = tmp_path / "commented.edges"
+        p.write_text("# a long tournament\n" + text)
+        tracemalloc.start()
+        try:
+            assert read_digraph(str(p)) == d
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_id_table_falls_back_chunk_by_chunk(self, lt500):
         # a leading zero in the second chunk is read by int(); an id out of
         # range in the third makes the bulk reader decline, and the line
@@ -357,7 +371,7 @@ class TestBlockBoundaries:
         text = "\n".join(lines) + ending
         p = tmp_path_factory.getbasetemp() / "blocks.edges"
         p.write_bytes(text.encode())
-        expected = _outcome(_parse_lines, text)
+        expected = _outcome(_parse_lines, text.splitlines())
         with mock.patch.object(qk.edgelist, "_CHUNK", chunk):
             assert _outcome(parse, text) == expected
             got = _outcome(read_digraph, str(p))
@@ -435,7 +449,9 @@ class TestFiles:
 
     @pytest.mark.parametrize(
         "data,line",
-        [(b"# caf\xc3\xa9\n2 1\n0 1\n", 1), (b"2 1\r\n\r\n0 1 \xff\n", 3), (b"\xc3", 1)],
+        [(b"# caf\xc3\xa9\n2 1\n0 1\n", 1), (b"2 1\r\n\r\n0 1 \xff\n", 3), (b"\xc3", 1),
+         # the byte wins over the earlier bad line, whose error the loop raises first
+         (b"2 1\n0 1 1\n\x0c# caf\xc3\xa9\n", 4)],
     )
     def test_non_ascii_byte_names_file_and_line(self, tmp_path, data, line):
         p = tmp_path / "accent.edges"

@@ -1,5 +1,7 @@
 """Eccentricities, r-kings, the degree-based finder, and census audits."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,8 @@ from instances import (
     path,
     two_cycles,
 )
-from qk import INF, Digraph, build, distances_from
+from qk import INF, Digraph, build, distances_from, reverse
+from qk import digraph
 from qk.checks import check_king_theorems
 from qk.digraph import max_degree_vertex
 from qk.errors import NotQuasiTransitiveInput, VertexOutOfRange
@@ -49,6 +52,73 @@ class TestEccentricity:
         assert d.ecc == tuple(max(row) for row in rows)
         for v in range(d.n):
             assert max(distances_from(d, v)) == max(rows[v])
+
+
+def _relabeled(d: Digraph, seed: int) -> Digraph:
+    """d with its vertices renamed by a seeded permutation."""
+    perm = list(range(d.n))
+    random.Random(seed).shuffle(perm)
+    return build(d.n, [(perm[u], perm[v]) for u, v in d.arcs()])
+
+
+def _two_long_tournaments(m: int) -> Digraph:
+    """Two disjoint copies of long_tournament(m), interleaved by id: two
+    initial components, and every eccentricity INF."""
+    return build(2 * m, [(2 * u + c, 2 * v + c) for u, v in long_tournament(m).arcs() for c in (0, 1)])
+
+
+_SWEEP_FAMILIES = {
+    **{f"lt{n}-seed{seed}": _relabeled(long_tournament(n), seed) for n in (2, 3, 7, 20, 45) for seed in (0, 1)},
+    **{f"path{m}": path(m) for m in (2, 5, 9)},
+    **{f"reversed-path{m}": reverse(path(m)) for m in (2, 5, 9)},
+    "cycle7": cycle(7),
+    "two-cycles": two_cycles(),
+    "two-long-tournaments": _two_long_tournaments(6),
+    # p = 1 reaches 0 and 2 but not 3: rule 1 settles 0 and 2
+    "p-misses-a-vertex": build(4, [(1, 0), (1, 2)]),
+    "empty": build(0, []),
+    "single": build(1, []),
+}
+
+
+class TestEccentricitySweep:
+    """d.ecc settles most vertices from bounds after one backward and one
+    forward BFS; it must still equal the row maxima of the distances."""
+
+    @pytest.fixture
+    def bfs_calls(self, monkeypatch):
+        calls = []
+
+        def counted(d, s, _fn=digraph.distances_from):
+            calls.append(s)
+            return _fn(d, s)
+
+        monkeypatch.setattr(digraph, "distances_from", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(_SWEEP_FAMILIES))
+    def test_matches_floyd_row_maxima(self, name):
+        d = _SWEEP_FAMILIES[name]
+        assert d.ecc == tuple(max(row) for row in bruteforce.floyd_distances(d))
+
+    def test_p_that_misses_settles_what_it_reaches(self, bfs_calls):
+        # p = 1 (farthest back from 0) misses 3; 0 and 2 need no BFS
+        assert build(4, [(1, 0), (1, 2)]).ecc == (INF,) * 4
+        assert bfs_calls == [1, 3]
+
+    def test_infinity_passes_along_arcs(self, bfs_calls):
+        # 3 is not reached by p = 1, but its predecessor 2 is INF
+        assert build(4, [(1, 0), (2, 3)]).ecc == (INF,) * 4
+        assert bfs_calls == [1, 2]
+
+    def test_successor_bound_settles_a_long_tournament(self, bfs_calls):
+        assert long_tournament(30).ecc == (29, 28, *range(27, 1, -1), 2, 2)
+        assert len(bfs_calls) == 5
+
+    def test_relabeled_lt300_runs_few_bfs(self, bfs_calls):
+        d = _relabeled(long_tournament(300), 7)
+        assert sorted(d.ecc) == [2, 2, *range(2, 300)]
+        assert len(bfs_calls) <= 6
 
 
 class TestRKings:
