@@ -6,19 +6,15 @@ skipped.  Vertex ids are 0-based.  The emitter writes a canonical form
 produce byte-identical files and `content_digest` is well defined no matter
 how the input file was formatted.
 
-Two readers share the work.  The bulk reader takes only texts it can prove
-well formed: ASCII, every line (the last one included) two runs of digits
-joined by one space and ended by LF, a header with n at most MAX_VERTICES
-and m equal to the number of arc lines, and arcs that are in range, not
-loops and pairwise distinct.  The emitter's output is such a text.  It
-reads a text in blocks of whole lines, about _CHUNK bytes each, and holds
-one block at a time besides the rows: a file costs memory in its order n,
-not in its length.  Ids are looked up in a table of str(v), v < n; a block
-with any other id (a leading zero, out of range, too long) is read again
-by int().  Any other text goes to the line loop, which alone decides what
-is wrong with a text and on which line, and reads comments, blank lines,
-tabs and CRLF; a file the bulk reader declines is read again by the
-line loop, one block of lines at a time, so it is never held whole either.
+One reader takes each text once, in blocks of whole lines of about
+_CHUNK bytes, and holds one block besides the rows: a file or a pipe costs
+memory in its order n, not in its length.  A block in the emitter's shape
+(every line two runs of digits joined by one space and ended by LF) whose
+ids are all in a table of str(v), v < n, is committed in bulk when its
+lines stay within the header's count and its arcs set one new bit each and
+no loop bit.  Any other block (a comment, blank line, tab, CRLF, leading
+zero or fault) goes through the line loop, which alone decides what is
+wrong with a text and on which line.
 
 The digest hashes the canonical text row by row with the interpreter's
 built-in SHA-256 (`_sha2`, or `_sha256` before 3.12).  hashlib, which
@@ -29,7 +25,6 @@ process), is the fallback where the built-in module is missing.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from io import BytesIO
 from itertools import compress
 
 try:
@@ -82,7 +77,7 @@ _CHUNK = 1 << 14  # bytes read at a time; each block of whole lines is split on 
 
 
 def _slices(seq):
-    """seq (bytes or str) in pieces of _CHUNK items."""
+    """seq in pieces of _CHUNK items."""
     return (seq[i:i + _CHUNK] for i in range(0, len(seq), _CHUNK))
 
 
@@ -102,63 +97,121 @@ def _blocks(chunks) -> Iterator[bytes]:
         yield rest
 
 
-def _bulk_read(chunks) -> Digraph | None:
-    """The digraph of the bytes of chunks if the bulk reader can prove
-    them well formed (see the module docstring), else None.  Only one
-    block of lines (_blocks) is held at a time.
-
-    The shape check runs at C speed per block: deleting the digits must
-    leave one " \n" per line, and no field may be empty.  The header
-    comes first; each later block's arcs are read by the id table, else
-    by int(), and the arc lines are counted against the header as they
-    come.  An id out of range is an IndexError, a field int() refuses
-    (over 4,300 digits) a ValueError, and loops and duplicates show in
-    the finished rows.
-    """
-    masks: list[int] = []
-    m = -1  # until the header is read
-    arcs = 0
+def _lines(block: bytes, line_no: int, codec: str) -> list[str]:
+    """The lines of block, line_no lines into the text, as str.splitlines()
+    splits them; a byte codec cannot decode is a parse error on its line."""
     try:
-        for block in _blocks(chunks):
-            shape = block.translate(None, b"0123456789")
-            lines = shape.count(b" \n")
-            if (not lines or len(shape) != 2 * lines or block[:1] == b" "
-                    or b"\n " in block or b" \n" in block):
-                return None
-            if m < 0:
-                start = block.index(b"\n") + 1
-                n, m = map(int, block[:start].split())
-                if n > MAX_VERTICES:
-                    return None
-                masks = [0] * n
-                bits = [1 << v for v in range(n)]
+        return block.decode(codec, "surrogatepass").splitlines()
+    except UnicodeDecodeError as exc:
+        line = line_no + len((block[:exc.start].decode("ascii") + "x").splitlines())
+        raise EdgeListParseError(line, f"non-ASCII byte 0x{block[exc.start]:02x}") from None
+
+
+def _commit(masks: list[int], ids: dict, bits: list[int], block: bytes, lines: int) -> bool:
+    """Set the arcs of block, lines canonical arc lines, in masks if all
+    their ids are in ids and each sets one new bit and no loop bit; else
+    leave masks as they were.  Whether the arcs were set."""
+    try:
+        fields = list(map(ids.__getitem__, block.split()))
+    except KeyError:  # a leading zero, an id out of range or too long
+        return False
+    tails = [*{*fields[::2]}]
+    rows = [masks[u] for u in tails]
+    pairs = iter(fields)
+    for a, b in zip(pairs, pairs):
+        masks[a] |= bits[b]
+    if (sum(masks[u].bit_count() for u in tails) - sum(row.bit_count() for row in rows) == lines
+            and not any(masks[u] >> u & 1 for u in tails)):
+        return True
+    for u, row in zip(tails, rows):  # a loop, or an arc that set no new bit
+        masks[u] = row
+    return False
+
+
+def _read(chunks, codec: str = "ascii") -> Digraph:
+    """The digraph of the bytes of chunks, decoded by codec where the line
+    loop reads them (see the module docstring).  Once the line loop
+    raises, the rest is still decoded, so a non-ASCII byte further on wins.
+    """
+    n = m = -1  # until the header is read
+    masks: list[int] = []
+    ids: dict = {}
+    count = 0
+    fault: tuple[int, str] | None = None
+    line_no = 0
+    blocks = _blocks(chunks)
+    for block in blocks:
+        shape = block.translate(None, b"0123456789")
+        lines = shape.count(b" \n")
+        if (lines and len(shape) == 2 * lines and block[:1] != b" "
+                and b"\n " not in block and b" \n" not in block):
+            if n < 0:
+                cut = block.index(b"\n") + 1
+                a, b = block[:cut].split()  # any longer header goes to the line loop
+                if len(a) <= 4 and len(b) <= 9 and int(a) <= MAX_VERTICES:
+                    n, m = int(a), int(b)
+                    masks = [0] * n
+                    block, lines, line_no = block[cut:], lines - 1, line_no + 1
+            if not ids:
                 ids = {str(v).encode(): v for v in range(n)}
-                block = block[start:]
-                lines -= 1
-            arcs += lines
-            if arcs > m:
-                return None
-            tokens = block.split()
-            try:
-                fields = iter(list(map(ids.__getitem__, tokens)))
-            except KeyError:  # a leading zero, an id out of range or too long
-                fields = map(int, tokens)
-            for a, b in zip(fields, fields):
-                masks[a] |= bits[b]
-    except (IndexError, ValueError):
-        return None
-    if arcs != m:  # too few arc lines, or no text at all
-        return None
-    if any(row >> x & 1 for x, row in enumerate(masks)):
-        return None
-    if sum(row.bit_count() for row in masks) != m:  # a duplicate set no new bit
-        return None
-    return Digraph(len(masks), tuple(masks))
-
-
-def _bulk_parse(data: bytes) -> Digraph | None:
-    """_bulk_read over data, a _CHUNK at a time."""
-    return _bulk_read(_slices(data))
+                bits = [1 << v for v in range(n)]
+            if count + lines <= m and _commit(masks, ids, bits, block, lines):
+                count += lines
+                line_no += lines
+                continue
+        text = _lines(block, line_no, codec)
+        end = line_no + len(text)
+        try:
+            for raw in text:
+                line_no += 1
+                tokens = raw.split()
+                if not tokens or tokens[0][0] == "#":
+                    continue
+                if len(tokens) != 2:
+                    raise EdgeListParseError(line_no, f"expected two fields, got {len(tokens)}")
+                try:
+                    # a field reads -?[0-9]+; int() alone would also take
+                    # '+1', '1_0' and non-ASCII digits
+                    if "+" in raw or "_" in raw or not (tokens[0] + tokens[1]).isascii():
+                        raise ValueError
+                    a, b = map(int, tokens)
+                except ValueError:
+                    raise EdgeListParseError(line_no, f"expected integers, got {' '.join(tokens)!r}")
+                if n < 0:
+                    if a < 0 or b < 0:
+                        raise EdgeListParseError(line_no, f"negative header field in {raw.strip()!r}")
+                    if a > MAX_VERTICES:
+                        raise EdgeListParseError(
+                            line_no,
+                            f"header announces {a} vertices, above the limit of {MAX_VERTICES}",
+                        )
+                    n, m = a, b
+                    masks = [0] * n
+                    continue
+                if count == m:
+                    raise EdgeListParseError(line_no, f"more than the {m} arcs announced in the header")
+                count += 1
+                if fault is not None:
+                    continue
+                if not (0 <= a < n and 0 <= b < n):
+                    fault = (line_no, f"vertex out of range for n={n}: {a} {b}")
+                elif a == b:
+                    fault = (line_no, f"loop arc ({a}, {b})")
+                elif masks[a] >> b & 1:
+                    fault = (line_no, f"duplicate arc ({a}, {b})")
+                else:
+                    masks[a] |= 1 << b
+        except EdgeListParseError:
+            for rest in blocks:  # a non-ASCII byte further on raises instead
+                end += len(_lines(rest, end, codec))
+            raise
+    if n < 0:
+        raise EdgeListParseError(line_no + 1, "missing header line 'n m'")
+    if count != m:
+        raise EdgeListParseError(line_no + 1, f"header announced {m} arcs but file has {count}")
+    if fault is not None:
+        raise EdgeListParseError(*fault)
+    return Digraph(n, tuple(masks))
 
 
 def parse(text: str) -> Digraph:
@@ -170,102 +223,16 @@ def parse(text: str) -> Digraph:
     then a missing header or too few arcs at the end, then the first
     out-of-range id, loop or duplicate arc.
     """
-    d = _bulk_read(map(str.encode, _slices(text))) if text.isascii() else None
-    return _parse_lines(text.splitlines()) if d is None else d
-
-
-def _parse_lines(lines) -> Digraph:
-    """parse() in one pass over the lines of a text (str.splitlines()):
-    the reader of every text the bulk reader declines, and the only
-    source of EdgeListParseError."""
-    n = m = -1  # until the header is read
-    masks: list[int] = []
-    count = 0
-    fault: tuple[int, str] | None = None
-    line_no = 0
-    for line_no, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
-        if len(tokens) != 2:
-            raise EdgeListParseError(line_no, f"expected two fields, got {len(tokens)}")
-        try:
-            # a field reads -?[0-9]+; int() alone would also take '+1', '1_0'
-            # and non-ASCII digits
-            if "+" in raw or "_" in raw or not (tokens[0] + tokens[1]).isascii():
-                raise ValueError
-            a, b = map(int, tokens)
-        except ValueError:
-            raise EdgeListParseError(line_no, f"expected integers, got {' '.join(tokens)!r}")
-        if n < 0:
-            if a < 0 or b < 0:
-                raise EdgeListParseError(line_no, f"negative header field in {raw.strip()!r}")
-            if a > MAX_VERTICES:
-                raise EdgeListParseError(
-                    line_no, f"header announces {a} vertices, above the limit of {MAX_VERTICES}"
-                )
-            n, m = a, b
-            masks = [0] * n
-            continue
-        if count == m:
-            raise EdgeListParseError(line_no, f"more than the {m} arcs announced in the header")
-        count += 1
-        if fault is not None:
-            continue
-        if not (0 <= a < n and 0 <= b < n):
-            fault = (line_no, f"vertex out of range for n={n}: {a} {b}")
-        elif a == b:
-            fault = (line_no, f"loop arc ({a}, {b})")
-        elif masks[a] >> b & 1:
-            fault = (line_no, f"duplicate arc ({a}, {b})")
-        else:
-            masks[a] |= 1 << b
-    if n < 0:
-        raise EdgeListParseError(line_no + 1, "missing header line 'n m'")
-    if count != m:
-        raise EdgeListParseError(line_no + 1, f"header announced {m} arcs but file has {count}")
-    if fault is not None:
-        raise EdgeListParseError(*fault)
-    return Digraph(n, tuple(masks))
-
-
-def _ascii_lines(chunks) -> Iterator[str]:
-    """The lines of the bytes of chunks as str.splitlines() splits their
-    whole text, split a block of whole LF-terminated lines (_blocks) at a
-    time.  A non-ASCII byte raises EdgeListParseError on its line."""
-    line_no = 0
-    for raw in _blocks(chunks):
-        try:
-            lines = raw.decode("ascii").splitlines()
-        except UnicodeDecodeError as exc:
-            line = line_no + len((raw[:exc.start].decode("ascii") + "x").splitlines())
-            raise EdgeListParseError(line, f"non-ASCII byte 0x{raw[exc.start]:02x}") from None
-        line_no += len(lines)
-        yield from lines
+    return _read((s.encode("utf-8", "surrogatepass") for s in _slices(text)), "utf-8")
 
 
 def read_digraph(path: str) -> Digraph:
-    """Parse the file at path; parse errors are tagged with the file name.
-
-    The file must be ASCII: a non-ASCII byte is a parse error on its line,
-    and it wins over any other fault in the file.  A file the bulk reader
-    declines is read again a block of lines at a time, never whole.
-    """
+    """Parse the file or pipe at path; parse errors are tagged with its
+    name.  It must be ASCII: a non-ASCII byte is a parse error on its line,
+    and it wins over any other fault in the file."""
     with open(path, "rb") as fh:
-        if not fh.seekable():  # a pipe: read it once, then as a file
-            fh = BytesIO(fh.read())
-        d = _bulk_read(iter(lambda: fh.read(_CHUNK), b""))
-        if d is not None:
-            return d
-        fh.seek(0)
-        lines = _ascii_lines(iter(lambda: fh.read(_CHUNK), b""))
         try:
-            try:
-                return _parse_lines(lines)
-            except EdgeListParseError:
-                for _ in lines:  # a non-ASCII byte further on raises instead
-                    pass
-                raise
+            return _read(iter(lambda: fh.read(_CHUNK), b""))
         except EdgeListParseError as exc:
             raise EdgeListParseError(exc.line, exc.message, source=path) from None
 

@@ -67,11 +67,11 @@ def verify_kernel(d: Digraph, candidate, k: int, l: int) -> KernelCertificate:
     for v in s:
         if not (0 <= v < d.n):
             raise VertexOutOfRange(v, d.n)
-    rows = {v: distances_from(d, v) for v in s}
     independent, ind_witness = True, None
-    for u in s:
+    for u in s:  # one member's distance row at a time, up to the first witness
+        row = distances_from(d, u)
         for v in s:
-            if u != v and rows[u][v] < k:
+            if u != v and row[v] < k:
                 independent, ind_witness = False, (u, v)
                 break
         if not independent:

@@ -17,6 +17,7 @@ import re
 from itertools import combinations, permutations
 
 from qk import INF, Digraph, build
+from qk.base import MAX_VERTICES
 from qk.errors import EdgeListParseError
 from qk.qt import RANDOM
 
@@ -173,7 +174,7 @@ def _ints(tokens: list[str], line_no: int) -> list[int]:
 
 def two_pass_parse(text: str) -> Digraph:
     """Edge-list parse in two passes: scan every line and check the counts,
-    then check range, loop and duplicate arc by arc (no header bound)."""
+    then check range, loop and duplicate arc by arc."""
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int, int]] = []
     last_line = 0
@@ -189,6 +190,10 @@ def two_pass_parse(text: str) -> Digraph:
         if header is None:
             if a < 0 or b < 0:
                 raise EdgeListParseError(line_no, f"negative header field in {stripped!r}")
+            if a > MAX_VERTICES:
+                raise EdgeListParseError(
+                    line_no, f"header announces {a} vertices, above the limit of {MAX_VERTICES}"
+                )
             header = (a, b)
             continue
         if len(arcs) == header[1]:

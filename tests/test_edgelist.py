@@ -1,7 +1,10 @@
 """File format: canonical emission, tolerant parsing, line-numbered errors."""
 
 import hashlib
+import os
 import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -14,8 +17,7 @@ from bruteforce import two_pass_parse
 from instances import chorded_path, cycle, d4, gnp, long_tournament, two_cycles
 from qk import build, census, construct_kplus2_kernel, find_kplus1_king_fast
 from qk.edgelist import (
-    _CHUNK, MAX_VERTICES, _bulk_parse, _parse_lines, content_digest, emit, parse, read_digraph,
-    write_digraph,
+    _CHUNK, MAX_VERTICES, content_digest, emit, parse, read_digraph, write_digraph,
 )
 from qk.errors import EdgeListParseError
 from strategies import digraphs
@@ -127,6 +129,10 @@ class TestParse:
         d = parse(emit(d4()))
         assert d.masks == d4().masks
 
+    def test_non_ascii_text_is_read(self):
+        # a file must be ASCII; a str need not, lone surrogates included
+        assert parse("# caf\u00e9 \ud800\n2 1\n0 1\n") == build(2, [(0, 1)])
+
 
 _ODD_LINES = [
     "", "   ", "# note", "  # 1 2", "1", "1 2 3", "x 1", "1 y", "-3 1", "\t0\t1 ",
@@ -200,27 +206,71 @@ def lt500():
     return d, emit(d)
 
 
-def _refuse_line_loop(monkeypatch):
-    def refuse(text):
-        raise AssertionError("entered the line loop")
+def _line_loop(monkeypatch) -> mock.Mock:
+    """The reader's decode helper, wrapped to count the blocks it hands to
+    the line loop."""
+    loop = mock.Mock(wraps=qk.edgelist._lines)
+    monkeypatch.setattr(qk.edgelist, "_lines", loop)
+    return loop
 
-    monkeypatch.setattr(qk.edgelist, "_parse_lines", refuse)
+
+def _outcome(read, *args):
+    """The digraph read() returns, or the (line, message) it raises."""
+    try:
+        return read(*args)
+    except EdgeListParseError as exc:
+        return exc.line, exc.message
+
+
+def _read_time(path: str, rounds: int = 7) -> float:
+    """Best of rounds wall times of read_digraph(path)."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        read_digraph(path)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 class TestBulkReader:
     def test_canonical_text_skips_the_line_loop(self, lt500, monkeypatch, tmp_path):
         d, text = lt500
-        _refuse_line_loop(monkeypatch)
+        loop = _line_loop(monkeypatch)
         assert parse(text) == d
         p = tmp_path / "lt500.edges"
         p.write_text(text)
         assert read_digraph(str(p)) == d
+        assert loop.call_count == 0
 
-    def test_commented_text_takes_the_line_loop(self, lt500, monkeypatch):
+    def test_commented_text_takes_the_line_loop(self, lt500, monkeypatch, tmp_path):
+        # the comment costs the line loop its block, not the file
+        d, text = lt500
+        loop = _line_loop(monkeypatch)
+        assert parse("# c\n" + text) == d
+        assert loop.call_count == 1
+        p = tmp_path / "commented.edges"
+        p.write_text("# c\n" + text)
+        assert read_digraph(str(p)) == d
+        assert loop.call_count == 2
+
+    def test_crlf_line_costs_one_block(self, lt500, monkeypatch, tmp_path):
+        d, text = lt500
+        lines = text.split("\n")
+        lines[len(lines) // 2] += "\r"
+        p = tmp_path / "crlf.edges"
+        p.write_bytes("\n".join(lines).encode())
+        loop = _line_loop(monkeypatch)
+        assert read_digraph(str(p)) == d
+        assert loop.call_count == 1
+
+    def test_comment_line_reads_about_as_fast(self, lt500, tmp_path):
+        # a declined file used to be read twice: 115 against 26 ms
         _, text = lt500
-        _refuse_line_loop(monkeypatch)
-        with pytest.raises(AssertionError, match="line loop"):
-            parse("# a long tournament\n" + text)
+        plain, commented = tmp_path / "plain.edges", tmp_path / "commented.edges"
+        plain.write_text(text)
+        commented.write_text("# c\n" + text)
+        _read_time(str(plain), 2)
+        assert _read_time(str(commented)) < 1.25 * _read_time(str(plain))
 
     def test_peak_memory_of_a_canonical_parse(self, lt500):
         # the text is read a block of lines at a time; the line loop, which
@@ -257,8 +307,7 @@ class TestBulkReader:
         assert abs(peaks[0] - peaks[1]) < tokens
 
     def test_commented_file_is_never_held_whole(self, lt500, tmp_path):
-        # one comment line sends LT500's file to the line loop; holding its
-        # bytes, a str copy and every line at once peaked at 9.4 MB
+        # holding its bytes, a str copy and every line at once peaked at 9.4 MB
         d, text = lt500
         p = tmp_path / "commented.edges"
         p.write_text("# a long tournament\n" + text)
@@ -270,10 +319,34 @@ class TestBulkReader:
             tracemalloc.stop()
         assert peak < 2_000_000
 
-    def test_id_table_falls_back_chunk_by_chunk(self, lt500):
-        # a leading zero in the second chunk is read by int(); an id out of
-        # range in the third makes the bulk reader decline, and the line
-        # loop then reports the same error as the oracle
+    def test_piped_file_is_never_held_whole(self, lt500):
+        # a pipe cannot seek; copying it whole before reading peaked at 1.52 MB
+        d, text = lt500
+        data = text.encode()
+        r, w = os.pipe()
+
+        def write():
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=write)
+        tracemalloc.start()
+        try:
+            writer.start()
+            got = read_digraph(f"/dev/fd/{r}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            os.close(r)
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == d
+        assert peak < 1_000_000
+
+    def test_id_table_falls_back_chunk_by_chunk(self, lt500, monkeypatch):
+        # a leading zero in the second chunk sends that block alone to the
+        # line loop; an id out of range in the third is reported there with
+        # the same error as the oracle
         _, text = lt500
         lines = text.split("\n")
         offsets = [0]
@@ -285,17 +358,14 @@ class TestBulkReader:
         u, v = lines[second].split()
         lines[second] = f"0{u} {v}"
         zeroed = "\n".join(lines)
-        assert _bulk_parse(zeroed.encode("ascii")) == two_pass_parse(zeroed) == parse(text)
+        loop = _line_loop(monkeypatch)
+        assert parse(zeroed) == two_pass_parse(zeroed) == parse(text)
+        assert loop.call_count == 1
         u, _ = lines[third].split()
         lines[third] = f"{u} 500"
         bad = "\n".join(lines)
-        assert _bulk_parse(bad.encode("ascii")) is None
-        with pytest.raises(EdgeListParseError) as expected:
-            two_pass_parse(bad)
-        with pytest.raises(EdgeListParseError) as got:
-            parse(bad)
-        assert (got.value.line, got.value.message) == (expected.value.line, expected.value.message)
-        assert got.value.line == third + 1
+        assert _outcome(parse, bad) == _outcome(two_pass_parse, bad)
+        assert _outcome(parse, bad)[0] == third + 1
 
     @pytest.mark.parametrize(
         "text",
@@ -308,8 +378,12 @@ class TestBulkReader:
             "2 1\n2 0\n", "2 1\n0 2\n", "2 1\n1 1\n", "3 2\n0 1\n0 1\n",
         ],
     )
-    def test_declines_what_it_cannot_prove(self, text):
-        assert _bulk_parse(text.encode("ascii")) is None
+    def test_declines_what_it_cannot_prove(self, text, monkeypatch):
+        # no block of these is committed in bulk but "3 2\n0 1\n"'s (too few
+        # arcs, found at the end), and each reads as the oracle reads it
+        loop = _line_loop(monkeypatch)
+        assert _outcome(parse, text) == _outcome(two_pass_parse, text)
+        assert loop.call_count == (text not in ("", "3 2\n0 1\n"))
 
     @pytest.mark.parametrize(
         "text,arcs",
@@ -317,7 +391,7 @@ class TestBulkReader:
     )
     def test_reads_unsorted_arcs_and_leading_zeros(self, text, arcs):
         n = int(text.split()[0])
-        assert _bulk_parse(text.encode("ascii")) == build(n, arcs) == two_pass_parse(text)
+        assert parse(text) == build(n, arcs) == two_pass_parse(text)
 
 
 def _fault(kind: str, lines: list[str], at: int, n: int) -> tuple[list[str], str]:
@@ -349,14 +423,6 @@ FAULTS = ["none", "leading zero", "out of range", "loop", "duplicate", "too few 
           "too many arcs", "missing final LF", "CRLF line", "comment line", "non-ASCII byte"]
 
 
-def _outcome(read, *args):
-    """The digraph read() returns, or the (line, message) it raises."""
-    try:
-        return read(*args)
-    except EdgeListParseError as exc:
-        return exc.line, exc.message
-
-
 class TestBlockBoundaries:
     @settings(max_examples=300, deadline=None)
     @given(digraphs(max_n=12).filter(lambda d: d.arc_count > 1), st.sampled_from(FAULTS),
@@ -371,18 +437,19 @@ class TestBlockBoundaries:
         text = "\n".join(lines) + ending
         p = tmp_path_factory.getbasetemp() / "blocks.edges"
         p.write_bytes(text.encode())
-        expected = _outcome(_parse_lines, text.splitlines())
-        with mock.patch.object(qk.edgelist, "_CHUNK", chunk):
+        expected = _outcome(two_pass_parse, text)
+        with mock.patch.object(qk.edgelist, "_CHUNK", chunk), \
+                mock.patch.object(qk.edgelist, "_lines", wraps=qk.edgelist._lines) as loop:
             assert _outcome(parse, text) == expected
             got = _outcome(read_digraph, str(p))
-            bulk = _bulk_parse(text.encode())
         if kind == "non-ASCII byte":  # a file must be ASCII; a str need not
             expected = (at + 1, "non-ASCII byte 0xc3")
         assert got == expected
         if kind in ("none", "leading zero"):
-            assert bulk == expected == d
-        else:
-            assert bulk is None
+            assert expected == d
+        # the blocks of a canonical text all commit in bulk, and so do those
+        # with one arc line too few, which shows only at the end
+        assert (loop.call_count == 0) == (kind in ("none", "too few arcs"))
 
 
 class TestWholeRows:
@@ -461,3 +528,10 @@ class TestFiles:
         assert exc.value.source == str(p)
         assert exc.value.line == line
         assert exc.value.message.startswith("non-ASCII byte 0x")
+
+    def test_first_non_ascii_byte_wins(self, tmp_path):
+        # bytes in two blocks, after a line the loop rejects first
+        p = tmp_path / "accents.edges"
+        p.write_bytes(b"2 1\n0 1 1\n0 1\n# \xc3\n# \xff\n")
+        with mock.patch.object(qk.edgelist, "_CHUNK", 4):
+            assert _outcome(read_digraph, str(p)) == (4, "non-ASCII byte 0xc3")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import bruteforce
-from instances import chorded_path, complete, cycle, d4, path, two_cycles
+from instances import chorded_path, complete, cycle, d4, long_tournament, path, two_cycles
 from json_oracle import jsonable
 from qk import build
 from qk.errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
@@ -68,6 +68,21 @@ class TestVerifyKernel:
     def test_radii_validation(self):
         with pytest.raises(ValueError):
             verify_kernel(d4(), [0], 0, 1)
+
+    def test_stops_at_the_first_dependent_pair(self, monkeypatch):
+        # 0 -> 1 is an arc, so the first member's row holds the witness;
+        # computing every member's row first took 1,000 BFS here
+        calls = []
+        real = kernels.distances_from
+
+        def counted(d, v):
+            calls.append(v)
+            return real(d, v)
+
+        monkeypatch.setattr(kernels, "distances_from", counted)
+        cert = verify_kernel(long_tournament(1000), range(1000), 3, 2)
+        assert (cert.independent, cert.witness) == (False, (0, 1))
+        assert calls == [0]
 
     @given(digraphs(max_n=6))
     @settings(deadline=None)
