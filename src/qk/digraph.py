@@ -17,8 +17,9 @@ once, on first use, and keeps it:
   constructor instead;
 - `dist`, the all-pairs distance rows (`distance_matrix`);
 - `ecc`, the out-eccentricities: the row maxima of `dist` when it is
-  held, else one far sweep (`eccentricities`) that settles most vertices
-  from bounds and runs at most n + 1 BFS, never holding the n x n matrix;
+  held, else one far sweep (`eccentricities`) rooted in an initial strong
+  component C, which settles most of C by one bound rule, runs at most
+  |C| + 1 BFS and never holds the n x n matrix;
 - `cond`, the strong components and which of them are initial or
   terminal (`strong_components`, two bitmask passes).
 
@@ -229,47 +230,37 @@ def bfs(masks, start: int) -> list[float]:
 def eccentricities(d: Digraph) -> tuple[float, ...]:
     """Out-eccentricities by one far sweep; read them as `d.ecc`.
 
-    A backward BFS from vertex 0 names p, the smallest vertex farthest
-    back from 0, and a BFS from p gives ecc(p).  The other vertices are
-    taken in order of decreasing d(p, w), those p misses first, and each
-    is settled without a BFS when one of three rules decides it:
-    - ecc(p) is INF and p reaches w: w misses what p misses;
-    - a predecessor of w is settled at INF: w misses what it misses;
-    - lo = ecc(p) - d(p, w) > 0 and a successor x of w is settled at
-      lo - 1: ecc(w) = lo, as lo <= ecc(w) <= ecc(x) + 1.
-    Any other vertex gets one BFS, so the sweep never runs more than
-    n + 1.  The settled vertices are kept in one bitmask per value, so a
-    rule costs one AND.
+    The vertex that finishes last in `finish_order` lies in an initial
+    strong component C, and a backward BFS from it reaches exactly C, as
+    no arc enters C.  Only a vertex of C can reach every vertex, so every
+    other eccentricity is INF.  p, the smallest vertex farthest back, gets
+    a BFS; when it misses a vertex, so does every vertex of C.  Otherwise
+    the rest of C is taken in order of decreasing d(p, w) and settled
+    without a BFS when lo = ecc(p) - d(p, w) > 0 and a successor was
+    settled at lo - 1, as lo <= ecc(w) <= ecc(x) + 1; any other vertex of
+    C gets one BFS, so the sweep runs at most |C| + 1.  The settled
+    vertices are kept in one bitmask per value, so the rule costs one AND.
     """
     n = d.n
     if not n:
         return ()
-    masks, pred = d.masks, d.pred
-    back = bfs(pred, 1)
+    masks = d.masks
+    back = bfs(d.pred, 1 << finish_order(masks)[-1])
     p = back.index(max(b for b in back if b < INF))
     dp = distances_from(d, p)
     ep = max(dp)
-    ecc = [ep] * n  # ecc(p), and INF for every vertex rule 1 settles
+    ecc = [INF] * n
+    if ep == INF:
+        return tuple(ecc)
+    ecc[p] = ep
     level = [0] * n  # level[e]: the vertices settled at eccentricity e
-    if ep < INF:
-        level[ep] = 1 << p
-        infinite = 0  # the vertices settled at INF
-        order = sorted(range(n), key=dp.__getitem__, reverse=True)[:-1]  # p comes last
-    else:
-        infinite = sum(1 << w for w, x in enumerate(dp) if x < INF)  # rule 1
-        order = [w for w, x in enumerate(dp) if x == INF]
-    for w in order:
-        if pred[w] & infinite:
-            e = INF
-        elif ep < INF and (lo := ep - dp[w]) > 0 and masks[w] & level[lo - 1]:
-            e = lo
-        else:
-            e = max(distances_from(d, w))
+    level[ep] = 1 << p
+    comp = (w for w, b in enumerate(back) if b < INF)
+    for w in sorted(comp, key=dp.__getitem__, reverse=True)[:-1]:  # p comes last
+        lo = ep - dp[w]
+        e = lo if lo > 0 and masks[w] & level[lo - 1] else max(distances_from(d, w))
         ecc[w] = e
-        if e < INF:
-            level[e] |= 1 << w
-        else:
-            infinite |= 1 << w
+        level[e] |= 1 << w
     return tuple(ecc)
 
 
@@ -302,18 +293,12 @@ class Condensation(Record):
         return self.components[idx]
 
 
-def strong_components(d: Digraph) -> Condensation:
-    """Strong components and the initial/terminal sets by Kosaraju's two
-    passes over the bitmask rows; read it as `d.cond`.
-
-    Pass 1 is a depth-first search over the successor rows that records
-    the finish order; pass 2 takes the vertices in reverse finish order and
-    gives each one not yet placed the unplaced vertices that reach it, by a
-    BFS over the predecessor rows.  Each pass enters a vertex once, so the
-    cost is O(n) row operations whatever the arc count.
-    """
-    masks, pred = d.masks, d.pred
-    left = (1 << d.n) - 1
+def finish_order(masks) -> list[int]:
+    """Every vertex in the order a depth-first search over the successor
+    rows finishes it, each search started from the smallest vertex not yet
+    entered.  The last to finish lies in an initial strong component: a
+    vertex outside its component that reached it would finish later."""
+    left = (1 << len(masks)) - 1
     order: list[int] = []
     while left:
         low = left & -left
@@ -327,9 +312,23 @@ def strong_components(d: Digraph) -> Condensation:
                 stack.append(low.bit_length() - 1)
             else:
                 order.append(stack.pop())
+    return order
+
+
+def strong_components(d: Digraph) -> Condensation:
+    """Strong components and the initial/terminal sets by Kosaraju's two
+    passes over the bitmask rows; read it as `d.cond`.
+
+    Pass 1 is `finish_order`; pass 2 takes the vertices in reverse finish
+    order and gives each one not yet placed the unplaced vertices that
+    reach it, by a BFS over the predecessor rows.  Each pass enters a
+    vertex once, so the cost is O(n) row operations whatever the arc
+    count.
+    """
+    masks, pred = d.masks, d.pred
     left = (1 << d.n) - 1
     found = []
-    for root in reversed(order):
+    for root in reversed(finish_order(masks)):
         if not left >> root & 1:
             continue
         comp = frontier = 1 << root

@@ -297,11 +297,14 @@ def random_qt(n: int, k: int, arc_prob: float, seed: int, rule: str = RANDOM) ->
     """Seed an Erdos-Renyi loop-free digraph of order n, each arc drawn
     with probability arc_prob, then close it under the k-quasi-transitivity
     condition with the orientation rule.  Deterministic per seed.  An
-    arc_prob outside [0, 1], then an order above the enumeration cap, fails
-    before any arc is drawn; k and rule are checked by qt_closure.  Arcs
-    are drawn u-major, straight into successor and predecessor rows."""
+    arc_prob outside [0, 1], then a negative order or one above the
+    enumeration cap, fails before any arc is drawn; k and rule are checked
+    by qt_closure.  Arcs are drawn u-major, straight into successor and
+    predecessor rows."""
     if not 0.0 <= arc_prob <= 1.0:
         raise ValueError("arc_prob must be in [0, 1]")
+    if n < 0:
+        raise ValueError("vertex count must be >= 0")
     _require_enumerable(n)
     rng = random.Random(seed)
     draw = rng.random

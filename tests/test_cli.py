@@ -338,6 +338,15 @@ class TestGen:
             "--rule", rule, "-o", str(out_file))
         assert certify_qt(parse(out_file.read_text()), 3)
 
+    def test_negative_order_writes_nothing(self, capsys, tmp_path):
+        out_file = tmp_path / "g.edges"
+        # it once exited 0 and wrote the header "-3 0", which check refuses
+        assert main(["gen", "--n", "-3", "--k", "2", "--p", "0.5", "-o", str(out_file)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qk: error: vertex count must be >= 0\n"
+        assert not out_file.exists()
+
     def test_order_above_the_cap_fails_fast(self, tmp_path):
         # all n * n seed arcs were once drawn before the cap was checked,
         # which at n = 100000 does not finish, so the child gets a time and

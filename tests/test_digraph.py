@@ -266,6 +266,12 @@ class TestStrongComponents:
         assert c.terminal == set(range(len(comps))) - {i for i, _ in crossing}
 
     @given(digraphs())
+    def test_last_to_finish_lies_in_an_initial_component(self, g):
+        c = strong_components(g)
+        last = digraph.finish_order(g.masks)[-1]
+        assert any(last in c.components[idx] for idx in c.initial)
+
+    @given(digraphs())
     def test_mutual_reachability_iff_same_component(self, g):
         comps = strong_components(g).components
         dm = distance_matrix(g)

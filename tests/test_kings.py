@@ -74,16 +74,18 @@ _SWEEP_FAMILIES = {
     "cycle7": cycle(7),
     "two-cycles": two_cycles(),
     "two-long-tournaments": _two_long_tournaments(6),
-    # p = 1 reaches 0 and 2 but not 3: rule 1 settles 0 and 2
     "p-misses-a-vertex": build(4, [(1, 0), (1, 2)]),
+    # 0's farthest-back vertex, 2, lies outside the initial component {1}
+    "far-back-outside-c": build(4, [(1, 0), (1, 2), (2, 3), (3, 0)]),
     "empty": build(0, []),
     "single": build(1, []),
 }
 
 
 class TestEccentricitySweep:
-    """d.ecc settles most vertices from bounds after one backward and one
-    forward BFS; it must still equal the row maxima of the distances."""
+    """d.ecc settles most of the initial component C from bounds after one
+    backward and one forward BFS, and the rest of the digraph at INF; it
+    must still equal the row maxima of the distances."""
 
     @pytest.fixture
     def bfs_calls(self, monkeypatch):
@@ -102,14 +104,25 @@ class TestEccentricitySweep:
         assert d.ecc == tuple(max(row) for row in bruteforce.floyd_distances(d))
 
     def test_p_that_misses_settles_what_it_reaches(self, bfs_calls):
-        # p = 1 (farthest back from 0) misses 3; 0 and 2 need no BFS
+        # 3 finishes last and is its own initial component; p = 3 reaches
+        # nothing, so every vertex is INF after its one BFS
         assert build(4, [(1, 0), (1, 2)]).ecc == (INF,) * 4
-        assert bfs_calls == [1, 3]
+        assert bfs_calls == [3]
 
     def test_infinity_passes_along_arcs(self, bfs_calls):
-        # 3 is not reached by p = 1, but its predecessor 2 is INF
+        # 2 finishes last; p = 2 misses 0, so every vertex is INF
         assert build(4, [(1, 0), (2, 3)]).ecc == (INF,) * 4
-        assert bfs_calls == [1, 2]
+        assert bfs_calls == [2]
+
+    def test_path_at_the_header_cap_takes_one_bfs(self, bfs_calls):
+        # only the initial component {0} can reach every vertex; one BFS
+        # per vertex took 4,096 here
+        assert path(4096).ecc == (4095, *[INF] * 4095)
+        assert bfs_calls == [0]
+
+    def test_reversed_path_at_the_header_cap_takes_one_bfs(self, bfs_calls):
+        assert reverse(path(4096)).ecc == (*[INF] * 4095, 4095)
+        assert bfs_calls == [4095]
 
     def test_successor_bound_settles_a_long_tournament(self, bfs_calls):
         assert long_tournament(30).ecc == (29, 28, *range(27, 1, -1), 2, 2)

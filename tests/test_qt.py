@@ -398,6 +398,13 @@ class TestRandomQt:
     def test_deterministic(self):
         assert random_qt(8, 2, 0.3, 123) == random_qt(8, 2, 0.3, 123)
 
+    def test_negative_order_fails_before_drawing(self, monkeypatch):
+        # with no generator to draw from, drawing would fail first; the
+        # order once passed unchecked, and `qk gen` wrote the header "-3 0"
+        monkeypatch.setattr(qt.random, "Random", None)
+        with pytest.raises(ValueError, match=r"^vertex count must be >= 0$"):
+            random_qt(-3, 2, 0.5, 0)
+
     def test_output_is_qt(self):
         for seed in range(5):
             g = random_qt(n=7, k=3, arc_prob=0.25, seed=seed)
