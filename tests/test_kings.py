@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from instances import (
@@ -227,6 +228,18 @@ class TestFastFinder:
                 deg = {v: sum(a[end] == v and a[1 - end] in comp for a in arcs) for v in comp}
                 top = max(deg.values())
                 assert max_degree_vertex(rows, comp) == min(v for v in comp if deg[v] == top)
+
+    @given(digraphs(), st.integers(min_value=2, max_value=7))
+    def test_threshold_vertices_by_definition(self, d, k):
+        # the unique initial component is the set of vertices that reach
+        # every vertex; degrees count arcs inside it, and the cutoff is
+        # strict, k below the maximum (even k) or (k-1)/2 below it (odd k)
+        dist = bruteforce.floyd_distances(d)
+        comp = [v for v in range(d.n) if INF not in dist[v]]
+        deg = {v: sum(u == v and w in comp for u, w in d.arcs()) for v in comp}
+        step = k if k % 2 == 0 else (k - 1) // 2
+        cutoff = max(deg.values(), default=0) - step
+        assert degree_threshold_vertices(d, k) == tuple(v for v in comp if deg[v] > cutoff)
 
     def test_threshold_vertices_chorded_path(self):
         # cutoff = max_degree - k = 2 - 2 = 0, so every vertex with an
