@@ -2,7 +2,9 @@
 
 Every k-quasi-transitive digraph has a (k+2, k+1)-kernel and the library
 builds it directly.  Whether a (k+1, k)-kernel always exists is open; the
-hunt samples random instances and exhaustively searches each one.
+hunt samples random instances and finds the minimum kernel size of each:
+one vertex per terminal component settles most of them, and the rest get
+the exhaustive subset search.
 
 Run:  python3 demos/kernel_hunt_demo.py [k]
 """

@@ -25,26 +25,7 @@ class _RecordType(type):
         cls = super().__new__(mcls, name, bases, ns)
         # the slots' own setters, which skip the __setattr__ that forbids change
         cls._setters = tuple(vars(cls)[field].__set__ for field in fields)
-        if len(fields) == 1 and "__init__" not in ns:
-            cls.__init__ = _one_field_init(cls._setters[0])
         return cls
-
-
-_MISSING = object()
-
-
-def _one_field_init(put):
-    """__init__ for a record of one field, such as qk.qt.QtViolation, which
-    recognition builds by the ten thousand: a lone positional value is set
-    without packing it into a tuple and zipping it with the setters, at half
-    the cost of Record.__init__.  Any other call binds as that does."""
-
-    def __init__(self, value=_MISSING, /, *more, **kwargs):
-        if more or kwargs or value is _MISSING:
-            (value,) = self._bind(() if value is _MISSING else (value, *more), kwargs)
-        put(self, value)
-
-    return __init__
 
 
 class Record(metaclass=_RecordType):

@@ -11,7 +11,8 @@ digraph yields a (k+2, k+1)-kernel.  Any absorbent set needs a member in
 each terminal component, so when that same pick is l-absorbent its size
 is the minimum kernel size (min_kernel_size); only the other digraphs need
 the subset search.  Whether (k+1, k) is always attainable is open;
-hunt_conjecture searches for a refutation.
+hunt_conjecture searches for a refutation, at orders up to the subset
+search's SEARCH_CAP.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .errors import InstanceTooLarge, NotQuasiTransitiveInput, VertexOutOfRange
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
-SEARCH_CAP = 20  # largest order exhaustive_kernel_search takes
-HUNT_N_MAX = 16  # largest n_max hunt_conjecture takes
+SEARCH_CAP = 20  # largest order exhaustive_kernel_search, and so hunt_conjecture, takes
 
 
 class KernelCertificate(Record):
@@ -291,7 +291,9 @@ def hunt_conjecture(
     k-quasi-transitive digraph, and takes its minimum kernel size from
     min_kernel_size: one vertex per terminal component when that set
     absorbs, else the complete subset search.  A trial with no kernel is
-    recheck_counterexample'd before it is recorded.
+    recheck_counterexample'd before it is recorded.  Any trial may need
+    the subset search, so n_max above SEARCH_CAP is refused before any
+    trial, with that search's InstanceTooLarge.
     Fully deterministic in (k, trials, n_max, base_seed, radii, n_min).
 
     Each trial is one job of qk.fanout.fan_out, so trials may run in
@@ -304,8 +306,8 @@ def hunt_conjecture(
         raise ValueError("trials must be >= 0")
     if not (1 <= n_min <= n_max):
         raise ValueError(f"need 1 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
-    if n_max > HUNT_N_MAX:
-        raise InstanceTooLarge(n_max, HUNT_N_MAX, "hunt order cap")
+    if n_max > SEARCH_CAP:
+        raise InstanceTooLarge(n_max, SEARCH_CAP, "subset kernel search cap")
     rr = (k + 1, k) if radii is None else (int(radii[0]), int(radii[1]))
     if rr[0] < 1 or rr[1] < 1:
         raise ValueError("kernel radii must be >= 1")

@@ -412,10 +412,10 @@ class TestHunt:
         assert main(["hunt", "--k", "2", "--trials", "1", "--indep", "3"]) == 3
 
     def test_order_above_its_cap_names_it(self, capsys):
-        assert main(["hunt", "--k", "2", "--n-max", "17"]) == 3
+        assert main(["hunt", "--k", "2", "--n-max", "21"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "qk: error: instance with n=17 exceeds hunt order cap 16\n"
+        assert captured.err == "qk: error: instance with n=21 exceeds subset kernel search cap 20\n"
 
     def test_custom_radii_reported(self, capsys):
         code, doc = run_json(capsys, "hunt", "--k", "2", "--trials", "5",

@@ -370,6 +370,7 @@ def run_cli(argv, one_cpu, setup=""):
     (["lemmas", "--k-list", "2,3,2", "--trials", "6", "--json"], 0),
     (["hunt", "--k", "2", "--indep", "5", "--absorb", "1", "--trials", "40", "--n-max", "8",
       "--seed", "3", "--json"], 2),
+    (["hunt", "--k", "3", "--trials", "200", "--n-max", "20", "--seed", "5", "--json"], 0),
     (["lemmas", "--k-list", "2,3,2", "--trials", "6"], 0),  # no wall-clock column any more
 ])
 def test_one_cpu_and_all_cpus_print_the_same_bytes(argv, expected_code):

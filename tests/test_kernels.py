@@ -137,12 +137,12 @@ class TestConstruct:
                 assert len(s) == len(cond.initial)
 
 
-def _seeded_qt(count, n_max, seed):
+def _seeded_qt(count, n_max, seed, n_min=1):
     """count seeded (k, random k-quasi-transitive digraph) pairs, orders in
-    [1, n_max], k in 2..5, expected degree 0.3..3."""
+    [n_min, n_max], k in 2..5, expected degree 0.3..3."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(1, n_max)
+        n = rng.randint(n_min, n_max)
         k = rng.randint(2, 5)
         p = min(1.0, rng.uniform(0.3, 3.0) / n)
         yield k, random_qt(n, k, p, rng.getrandbits(64))
@@ -256,7 +256,10 @@ class TestMinKernelSize:
 
         monkeypatch.setattr(kernels, "exhaustive_kernel_search", counted)
         settled = 0
-        for k, d in _seeded_qt(120, 15, seed=7):
+        # orders 16 to 20 as well: hunt trials reach them, up to SEARCH_CAP
+        inputs = [*_seeded_qt(120, 15, seed=7), *_seeded_qt(40, 20, seed=7, n_min=16)]
+        assert {d.n for _, d in inputs} >= set(range(16, 21))
+        for k, d in inputs:
             for radii in ((k + 1, k), (k, k), (2, 1), (k + 2, k + 1), (1, 1), (5, 1)):
                 before = len(fallbacks)
                 size = min_kernel_size(d, *radii)
@@ -346,7 +349,15 @@ class TestHunt:
         with pytest.raises(ValueError):
             hunt_conjecture(2, trials=1, n_min=6, n_max=5)
         with pytest.raises(InstanceTooLarge):
-            hunt_conjecture(2, trials=1, n_max=17)
+            hunt_conjecture(2, trials=1, n_max=21)
+
+    def test_order_above_the_search_cap_is_refused_before_any_trial(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr("qk.qt.random_qt", drawn)
+        with pytest.raises(InstanceTooLarge, match="n=21 exceeds subset kernel search cap 20"):
+            hunt_conjecture(2, trials=1, n_max=21)
 
     def test_zero_trials(self):
         led = hunt_conjecture(4, trials=0)
