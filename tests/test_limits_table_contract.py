@@ -62,36 +62,36 @@ def _edge_file(tmp_path, n):
     return str(p)
 
 
-# limit -> {command: argv that asks for one more than the cap (the cap is
-# passed in)} for each command the row names
+# limit -> {test id: argv that asks for one more than the cap (the cap is
+# passed in)} for each command the row names; a row's first case is named
+# after the row, and the hunt's after the order it refuses
 ABOVE = {
-    "edge-list header": {"check": lambda cap, tmp: ["check", _edge_file(tmp, cap + 1), "--k", "2"]},
+    "edge-list header": {
+        "edge-list header": lambda cap, tmp: ["check", _edge_file(tmp, cap + 1), "--k", "2"],
+    },
     "`--k` and `--k-list` values": {
-        "check": lambda cap, tmp: ["check", _edge_file(tmp, 3), "--k", str(cap + 1)],
+        "`--k` and `--k-list` values": lambda cap, tmp: ["check", _edge_file(tmp, 3), "--k", str(cap + 1)],
     },
-    "k-path enumeration": {"check": lambda cap, tmp: ["check", _edge_file(tmp, cap + 1), "--k", "2"]},
+    "k-path enumeration": {
+        "k-path enumeration": lambda cap, tmp: ["check", _edge_file(tmp, cap + 1), "--k", "2"],
+    },
     "subset kernel search": {
-        "kernel": lambda cap, tmp: ["kernel", _edge_file(tmp, cap + 1), "--k", "2"],
-        "hunt": lambda cap, tmp: ["hunt", "--k", "2", "--n-max", str(cap + 1)],
+        "subset kernel search": lambda cap, tmp: ["kernel", _edge_file(tmp, cap + 1), "--k", "2"],
+        "hunt order": lambda cap, tmp: ["hunt", "--k", "2", "--n-max", str(cap + 1)],
     },
-    "lemmas k": {"lemmas": lambda cap, tmp: ["lemmas", "--k-list", str(cap + 1)]},
+    "lemmas k": {"lemmas k": lambda cap, tmp: ["lemmas", "--k-list", str(cap + 1)]},
 }
-# a row's first command keeps the row's name as its test id
-DRIVES = [
-    pytest.param(limit, command, id=limit if i == 0 else f"{limit}, {command}")
-    for limit in sorted(ABOVE)
-    for i, command in enumerate(ABOVE[limit])
-]
+DRIVES = [pytest.param(limit, case, id=case) for limit in sorted(ABOVE) for case in ABOVE[limit]]
 
 
 def test_every_row_is_driven():
     assert set(ABOVE) == set(ROWS)
 
 
-@pytest.mark.parametrize("limit, command", DRIVES)
-def test_one_above_the_cap_gives_the_listed_message(limit, command, capsys, tmp_path):
+@pytest.mark.parametrize("limit, case", DRIVES)
+def test_one_above_the_cap_gives_the_listed_message(limit, case, capsys, tmp_path):
     _, _, constant, message = ROWS[limit]
-    argv = ABOVE[limit][command](constant, tmp_path)
+    argv = ABOVE[limit][case](constant, tmp_path)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's usage errors leave this way
