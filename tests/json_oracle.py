@@ -1,5 +1,5 @@
 """The --json encoding done the slow, obvious way, as an oracle for the
-streaming writer ``qk.cli.write_json``: convert the report objects to plain
+streaming writer ``qk.output.write_json``: convert the report objects to plain
 JSON values, then let ``json.dumps`` write them.  Used only by the tests.
 """
 

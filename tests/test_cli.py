@@ -863,7 +863,7 @@ class TestRawJsonBytes:
 def loaded_modules(code, *argv, watched=None):
     """Which of the modules named in watched (default WATCHED) a fresh
     interpreter has loaded after running code with argv."""
-    code += "; print(' '.join(m for m in WATCHED if m in sys.modules))"
+    code += "\nprint(' '.join(m for m in WATCHED if m in sys.modules))"
     src = str(Path(qk.__file__).resolve().parent.parent)
     watched = WATCHED if watched is None else watched
     proc = subprocess.run([sys.executable, "-c", f"import sys; WATCHED = {watched!r}; {code}", *argv],
@@ -872,25 +872,43 @@ def loaded_modules(code, *argv, watched=None):
     return proc.stdout.split("\n")[-2].split()
 
 
+HANDLERS = ("qk.cmd_check", "qk.cmd_kings", "qk.cmd_kernel", "qk.cmd_gen", "qk.cmd_hunt", "qk.cmd_lemmas")
 WATCHED = ("qk.checks", "qk.kernels", "qk.kings", "qk.qt", "qk.digraph", "qk.edgelist", "qk.fanout",
-           "qk.errors", "qk.base", "qk.cli", "dataclasses", "inspect", "pickle", "signal", "traceback")
+           "qk.errors", "qk.base", "qk.cli", "qk.output", *HANDLERS, "json",
+           "dataclasses", "inspect", "pickle", "signal", "traceback")
+RUN_CLI = "import contextlib, qk.cli\nwith contextlib.suppress(SystemExit):\n    qk.cli.main(sys.argv[1:])"
 
 
 def test_startup_imports_stay_lazy(tmp_path):
     # `import qk` loads no submodule; `import qk.cli` (argument parsing,
-    # --version) none of the library, and fanout's pickle/signal/traceback
-    # load only when lemmas or hunt fan out
+    # --version) none of the library, no handler and not the output module,
+    # and fanout's pickle/signal/traceback load only when lemmas or hunt fan out
     assert loaded_modules("import qk") == []
     assert loaded_modules("import qk.cli") == ["qk.errors", "qk.base", "qk.cli"]
+    assert loaded_modules(RUN_CLI, "--version") == ["qk.errors", "qk.base", "qk.cli"]
     # a check loads only what it uses
     p = tmp_path / "d4.edges"
     write_digraph(str(p), d4())
-    used = loaded_modules("import qk.cli; qk.cli.main(sys.argv[1:])", "check", str(p), "--k", "2")
-    assert used == ["qk.qt", "qk.digraph", "qk.edgelist", "qk.errors", "qk.base", "qk.cli"]
+    used = loaded_modules(RUN_CLI, "check", str(p), "--k", "2")
+    assert used == ["qk.qt", "qk.digraph", "qk.edgelist", "qk.errors", "qk.base", "qk.cli", "qk.output",
+                    "qk.cmd_check"]
     # a kernel construction needs no recognition: only the hunt loads qt
-    used = loaded_modules("import qk.cli; qk.cli.main(sys.argv[1:])", "kernel", str(p), "--k", "2",
-                          "--construct")
-    assert used == ["qk.kernels", "qk.digraph", "qk.edgelist", "qk.errors", "qk.base", "qk.cli"]
+    used = loaded_modules(RUN_CLI, "kernel", str(p), "--k", "2", "--construct")
+    assert used == ["qk.kernels", "qk.digraph", "qk.edgelist", "qk.errors", "qk.base", "qk.cli", "qk.output",
+                    "qk.cmd_kernel"]
+    # each command loads its own handler and no other; the JSON writer
+    # quotes with _json's escaper, so no command, --json or not, imports
+    # the json package
+    for argv in (("check", str(p), "--k", "2"),
+                 ("kings", str(p), "--k", "2", "--census"),
+                 ("kernel", str(p), "--k", "2", "--construct"),
+                 ("gen", "--n", "6", "--k", "2", "--p", "0.3", "-o", str(tmp_path / "out.edges")),
+                 ("hunt", "--k", "2", "--trials", "3"),
+                 ("lemmas", "--k-list", "2", "--trials", "1")):
+        for flags in ((), ("--json",)):
+            used = loaded_modules(RUN_CLI, *argv, *flags)
+            assert [m for m in used if m in HANDLERS] == [f"qk.cmd_{argv[0]}"], argv + flags
+            assert "qk.output" in used and "json" not in used, argv + flags
 
 
 def test_file_commands_load_no_openssl(d4_file):
@@ -898,8 +916,7 @@ def test_file_commands_load_no_openssl(d4_file):
     # _hashlib would map OpenSSL's libcrypto into every file command
     if loaded_modules("pass", watched=("_hashlib",)):
         pytest.skip("the interpreter loads _hashlib before qk runs")
-    code = "import qk.cli; qk.cli.main(sys.argv[1:])"
-    assert loaded_modules(code, "check", d4_file, "--k", "2", "--json", watched=("_hashlib",)) == []
+    assert loaded_modules(RUN_CLI, "check", d4_file, "--k", "2", "--json", watched=("_hashlib",)) == []
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])

@@ -1,18 +1,23 @@
-"""qk.cli.write_json against the oracle in json_oracle.py: the same bytes
+"""qk.output.write_json against the oracle in json_oracle.py: the same bytes
 for every report value, a TypeError for anything else, and the document
 written in batches."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qk
 from json_oracle import dumps
 from qk.checks import CheckResult, Violation
-from qk.cli import write_json
 from qk.kings import AuditRow, KingReport
+from qk.output import write_json
 
 
 def written(doc) -> str:
@@ -109,3 +114,22 @@ def test_iterators_are_arrays_drawn_as_written():
     assert "".join(parts) == dumps({"empty": [], "rows": [(i, "x" * 10) for i in range(20_000)]})
     assert len(seen_at_write) > 10
     assert seen_at_write[0] < 20_000 / 10
+
+
+def test_fallback_escaper_writes_the_same_bytes():
+    # an interpreter without the _json accelerator: the writer takes
+    # json.encoder's pure-Python escaper, which must quote as the C one does
+    doc = {"s": '\x00\x1f\x7f "\\/ é ü \u2028 😀', "keys": {"é\x01": ["", "\t\n", 2.5, None, True]}}
+    code = (
+        "import ast, sys\n"
+        "sys.modules['_json'] = None\n"
+        "import json.encoder\n"
+        "assert json.encoder.c_encode_basestring_ascii is None\n"
+        "from qk.output import write_json\n"
+        "write_json(ast.literal_eval(sys.argv[1]), sys.stdout.write)"
+    )
+    src = str(Path(qk.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, repr(doc)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.dumps(doc, sort_keys=True, indent=2)
