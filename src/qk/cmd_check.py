@@ -24,5 +24,5 @@ def run(args) -> int:
         sys.stdout.write("".join([
             f"path {'->'.join(map(str, v.path))}: endpoints {v.u} and {v.v} non-adjacent\n" for v in batch
         ]))
-    _emit(args, "check", d, result, f"{args.k}-quasi-transitive: {f'no ({count} violations)' if first else 'yes'}")
+    _emit(args, d, result, f"{args.k}-quasi-transitive: {f'no ({count} violations)' if first else 'yes'}")
     return 1 if first else 0

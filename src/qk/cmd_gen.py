@@ -14,7 +14,6 @@ def run(args) -> int:
     digest = write_digraph(args.output, d)
     _emit(
         args,
-        "gen",
         None,
         {"n": d.n, "arcs": d.arc_count, "file": args.output, "digest": digest},
         digest,

@@ -30,5 +30,5 @@ def run(args) -> int:
     for ce in ledger.counterexamples:
         lines.append(f"COUNTEREXAMPLE trial {ce.trial}: n={ce.n} arcs={ce.arcs}")
     lines.append("refuted" if ledger.refuted else "no counterexample found")
-    _emit(args, "hunt", None, ledger, "\n".join(lines))
+    _emit(args, None, ledger, "\n".join(lines))
     return 2 if ledger.refuted else 0

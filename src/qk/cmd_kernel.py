@@ -19,7 +19,6 @@ def run(args) -> int:
         s = cert.candidate
         _emit(
             args,
-            "kernel",
             d,
             {"mode": "construct", "kernel": s, "certificate": cert, "status": cert.status},
             f"({args.k + 2}, {args.k + 1})-kernel: {_fmt_set(s)} [{cert.status}]",
@@ -32,7 +31,6 @@ def run(args) -> int:
         witness = "" if cert.verified else f" witness {cert.witness}"
         _emit(
             args,
-            "kernel",
             d,
             {"mode": "verify", "certificate": cert, "status": cert.status},
             f"{cert.status}: {_fmt_set(cert.candidate)} as a ({indep}, {absorb})-kernel{witness}",
@@ -47,7 +45,6 @@ def run(args) -> int:
     )
     _emit(
         args,
-        "kernel",
         d,
         {"mode": "exhaustive", "radii": (indep, absorb), "kernel": s},
         human,

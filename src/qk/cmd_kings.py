@@ -33,7 +33,7 @@ def run(args) -> int:
         for row in rep.counting_audit:
             status = "info" if row.passed is None else ("PASS" if row.passed else "FAIL")
             lines.append(f"audit {row.tag}: expected {row.expected}, observed {row.observed} [{status}]")
-        _emit(args, "kings", d, rep, "\n".join(lines))
+        _emit(args, d, rep, "\n".join(lines))
         return 2 if failed else 0
     if args.fast:
         king = find_kplus1_king_fast(d, args.k)
@@ -43,12 +43,11 @@ def run(args) -> int:
             if found
             else f"no ({args.k + 1})-king: no unique initial component"
         )
-        _emit(args, "kings", d, {"k": args.k, "fast_king": king}, human)
+        _emit(args, d, {"k": args.k, "fast_king": king}, human)
         return 0 if found else 1
     kings = all_r_kings(d, args.k + 1)
     _emit(
         args,
-        "kings",
         d,
         {"k": args.k, "radius": args.k + 1, "kings": kings},
         f"({args.k + 1})-kings: {_fmt_set(kings) if kings else 'none'}",

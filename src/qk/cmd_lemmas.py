@@ -38,7 +38,6 @@ def run(args) -> int:
         verdict = 0
     _emit(
         args,
-        "lemmas",
         None,
         {"results": results, "violations": violations, "min_fire": args.min_fire},
         "\n".join(lines),

@@ -3,18 +3,20 @@
 Vertices are dense integer ids 0..n-1.  Digraphs are loop-free and have no
 repeated arc in the same direction (opposite arcs forming a digon are fine).
 
-A Digraph stores its arcs once, as successor bitmask rows: row x is a
-Python int with bit y set for each arc x -> y.  Equality, hashing, degree
+A Digraph stores its arcs as successor bitmask rows: row x is a Python
+int with bit y set for each arc x -> y.  Equality, hashing, degree
 counts, arc lists and the k-path searches read the rows, and distances come
 from one bit-parallel BFS over them: a BFS level is the OR of its frontier's
 rows, so a dense row costs one big-int operation rather than one step per arc.
 
-A Digraph is immutable, so it derives each of these from `masks` at most
+Every Digraph is also given its predecessor rows, `pred`: bit x of
+pred[y] is set iff x -> y is an arc.  The strong components, and so the
+unique initial component and the kernel construction, read them.  `build`
+sets them beside each arc it validates, the generators keep them as they
+add arcs, and the edge-list reader transposes its rows once.
+
+A Digraph is immutable, so it derives each of these from its rows at most
 once, on first use, and keeps it:
-- `pred`, the predecessor bitmask rows, one transpose of `masks`, taken
-  set bit by set bit on sparse rows and a band of columns at a time on
-  dense ones; a generator that already holds them passes them to the
-  constructor instead;
 - `dist`, the all-pairs distance rows (`distance_matrix`);
 - `ecc`, the out-eccentricities, by one far sweep (`eccentricities`)
   rooted in an initial strong component C, which settles most of C by one
@@ -36,61 +38,25 @@ from .errors import DuplicateArc, LoopArc, VertexOutOfRange
 
 INF = math.inf
 
-# Rows spelled out as binary strings cost one digit per vertex, walked set
-# bit by set bit about 64 digits per arc (CPython 3.11, n = 500..4096).  So
-# Digraph.pred walks the bits when n * n exceeds _SPARSE times the arc
-# count, and edgelist.emit walks a row with fewer than n / _SPARSE bits.
-_SPARSE = 64
-# Digraph.pred transposes dense rows _BAND columns (_LOW) at a time;
-# _DIGITS[i] maps a byte to b"1" where its bit i is set, else to b"0".
-_BAND = 256
-_LOW = (1 << _BAND) - 1
-_DIGITS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
-
 
 class Digraph:
-    """Immutable loop-free digraph stored as successor bitmask rows.
+    """Immutable loop-free digraph stored as successor and predecessor
+    bitmask rows.
 
     Use :func:`build` to construct one with validation; the constructor
-    trusts its rows: masks[x] has no bit at x or at n and above, and pred,
-    when given, holds the same arcs reversed.
+    trusts its rows: masks[x] has no bit at x or at n and above, and pred
+    holds the same arcs reversed.
     """
 
-    __slots__ = ("n", "masks", "_pred", "_dist", "_ecc", "_cond")
+    __slots__ = ("n", "masks", "pred", "_dist", "_ecc", "_cond")
 
-    def __init__(self, n: int, masks: tuple[int, ...],
-                 pred: tuple[int, ...] | None = None) -> None:
+    def __init__(self, n: int, masks: tuple[int, ...], pred: tuple[int, ...]) -> None:
         self.n = n
         self.masks = masks
-        self._pred = pred
-        self._dist: tuple[tuple[float, ...], ...] | None = None
-        self._ecc: tuple[float, ...] | None = None
-        self._cond: Condensation | None = None
-
-    @property
-    def pred(self) -> tuple[int, ...]:
-        """Predecessor rows: bit x of pred[y] is set iff x -> y is an arc.
-
-        Taken set bit by set bit below one arc per _SPARSE cells of the
-        n x n grid, else a band of _BAND columns at a time: the band's
-        grid holds each row's bits in the band as 32 little-endian bytes,
-        rows from the last up, so every 32nd byte from byte j >> 3 is
-        column j, which _DIGITS[j & 7] spells in binary for int().  The
-        grid takes 32 n bytes, not the 2 n^2 of all n columns at once."""
-        if self._pred is None:
-            n, masks = self.n, self.masks
-            pred = [0] * n
-            if self.arc_count * _SPARSE < n * n:
-                for x, row in enumerate(masks):
-                    for y in _bits(row):
-                        pred[y] |= 1 << x
-            else:
-                for shift in range(0, n, _BAND):
-                    grid = b"".join([(row >> shift & _LOW).to_bytes(32, "little") for row in reversed(masks)])
-                    pred[shift:shift + _BAND] = [int(grid[j >> 3::32].translate(_DIGITS[j & 7]), 2)
-                                                 for j in range(min(_BAND, n - shift))]
-            self._pred = tuple(pred)
-        return self._pred
+        self.pred = pred
+        self._dist = None
+        self._ecc = None
+        self._cond = None
 
     @property
     def dist(self) -> tuple[tuple[float, ...], ...]:
@@ -163,6 +129,7 @@ def build(n: int, arc_list) -> Digraph:
     if n < 0:
         raise ValueError("vertex count must be >= 0")
     masks = [0] * n
+    pred = [0] * n
     for u, v in arc_list:
         if not (0 <= u < n):
             raise VertexOutOfRange(u, n)
@@ -173,7 +140,8 @@ def build(n: int, arc_list) -> Digraph:
         if masks[u] >> v & 1:
             raise DuplicateArc(u, v)
         masks[u] |= 1 << v
-    return Digraph(n, tuple(masks))
+        pred[v] |= 1 << u
+    return Digraph(n, tuple(masks), tuple(pred))
 
 
 def reverse(d: Digraph) -> Digraph:

@@ -15,7 +15,8 @@ lines stay within the header's count and its arcs set one new bit each and
 no loop bit.  Any other block (a comment, blank line, tab, CRLF, leading
 zero or fault) goes through the line loop, which alone decides what is
 wrong with a text and on which line: it raises at the first faulty line,
-and no block after it is read.
+and no block after it is read.  The digraph it returns carries its
+predecessor rows too, one transpose of the rows read (`_transpose`).
 
 The digest hashes the canonical text row by row with the interpreter's
 built-in SHA-256 (`_sha2`, or `_sha256` before 3.12).  hashlib, which
@@ -37,10 +38,20 @@ except ImportError:
         from hashlib import sha256
 
 from .base import MAX_VERTICES
-from .digraph import _SPARSE, Digraph, _bits
+from .digraph import Digraph, _bits
 from .errors import EdgeListParseError
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin(row) digits as compress() flags
+# Rows spelled out as binary strings cost one digit per vertex, walked set
+# bit by set bit about 64 digits per arc (CPython 3.11, n = 500..4096).  So
+# _transpose walks the bits when n * n exceeds _SPARSE times the arc count,
+# and _pieces walks a row with fewer than n / _SPARSE bits.
+_SPARSE = 64
+# _transpose takes dense rows _BAND columns (_LOW) at a time;
+# _DIGITS[i] maps a byte to b"1" where its bit i is set, else to b"0".
+_BAND = 256
+_LOW = (1 << _BAND) - 1
+_DIGITS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
 
 
 def _pieces(d: Digraph) -> Iterator[str]:
@@ -131,6 +142,28 @@ def _commit(masks: list[int], ids: dict, bits: list[int], block: bytes, lines: i
     return False
 
 
+def _transpose(n: int, masks: list[int], count: int) -> tuple[int, ...]:
+    """The predecessor rows of masks, count arcs on n vertices.
+
+    Taken set bit by set bit below one arc per _SPARSE cells of the
+    n x n grid, else a band of _BAND columns at a time: the band's
+    grid holds each row's bits in the band as 32 little-endian bytes,
+    rows from the last up, so every 32nd byte from byte j >> 3 is
+    column j, which _DIGITS[j & 7] spells in binary for int().  The
+    grid takes 32 n bytes, not the 2 n^2 of all n columns at once."""
+    pred = [0] * n
+    if count * _SPARSE < n * n:
+        for x, row in enumerate(masks):
+            for y in _bits(row):
+                pred[y] |= 1 << x
+    else:
+        for shift in range(0, n, _BAND):
+            grid = b"".join([(row >> shift & _LOW).to_bytes(32, "little") for row in reversed(masks)])
+            pred[shift:shift + _BAND] = [int(grid[j >> 3::32].translate(_DIGITS[j & 7]), 2)
+                                         for j in range(min(_BAND, n - shift))]
+    return tuple(pred)
+
+
 def _read(chunks, codec: str = "ascii") -> Digraph:
     """The digraph of the bytes of chunks, decoded by codec where the line
     loop reads them (see the module docstring).  The first faulty line
@@ -203,7 +236,7 @@ def _read(chunks, codec: str = "ascii") -> Digraph:
         raise EdgeListParseError(line_no + 1, "missing header line 'n m'")
     if count != m:
         raise EdgeListParseError(line_no + 1, f"header announced {m} arcs but file has {count}")
-    return Digraph(n, tuple(masks))
+    return Digraph(n, tuple(masks), _transpose(n, masks, count))
 
 
 def parse(text: str) -> Digraph:

@@ -135,7 +135,12 @@ def _audit_rows(
     kings: dict[int, tuple[int, ...]],
     ecc: tuple[float, ...],
 ) -> list[AuditRow]:
-    """Evaluate every applicable counting clause for the unique initial C."""
+    """Evaluate every applicable counting clause for the unique initial C.
+
+    At k = 2, "no 2-king implies at least 7 3-kings" is the paper's
+    alternative to "all of C are 3-kings", so it applies only when some
+    vertex of C is not a 3-king.  A strong 2-quasi-transitive digraph on
+    six vertices can have no 2-king, and then all six are 3-kings."""
     rows: list[AuditRow] = []
     n_c = len(comp)
     if n_c <= k:
@@ -184,7 +189,7 @@ def _audit_rows(
                     passed=len(kings[3]) >= 4,
                 )
             )
-        if not kings[2]:
+        if not kings[2] and not all(ecc[v] <= 3 for v in comp):
             rows.append(
                 AuditRow(
                     tag="quasi-transitive-seven",

@@ -104,10 +104,10 @@ def write_json(doc, write) -> None:
     flush()
 
 
-def _emit(args, command: str, d, result, human: str) -> None:
-    """Print the report: under --json the document, with the content
-    digest of the input digraph d (None for commands without a file),
-    else the human text."""
+def _emit(args, d, result, human: str) -> None:
+    """Print the report: under --json the document, for the command
+    argparse stored in args, with the content digest of the input digraph
+    d (None for commands without a file), else the human text."""
     if args.json:
         digest = None
         if d is not None:
@@ -116,7 +116,7 @@ def _emit(args, command: str, d, result, human: str) -> None:
             digest = content_digest(d)
         doc = {
             "tool_version": __version__,
-            "command": command,
+            "command": args.command,
             "input_digest": digest,
             "result": result,
         }

@@ -214,7 +214,4 @@ def first_fault_parse(text: str) -> Digraph:
     n, m = header
     if len(seen) != m:
         raise EdgeListParseError(last_line + 1, f"header announced {m} arcs but file has {len(seen)}")
-    masks = [0] * n
-    for u, v in seen:
-        masks[u] |= 1 << v
-    return Digraph(n, tuple(masks))
+    return build(n, sorted(seen))

