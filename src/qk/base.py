@@ -15,13 +15,11 @@ MAX_VERTICES = 1 << 12
 
 
 class _RecordType(type):
-    """Makes a record class's annotated names, in order, its __slots__, and
-    moves the class-level values given to them into _defaults."""
+    """Makes a record class's annotated names, in order, its __slots__."""
 
     def __new__(mcls, name, bases, ns):
         fields = tuple(ns.get("__annotations__", ()))
         ns["__slots__"] = fields
-        ns["_defaults"] = {field: ns.pop(field) for field in fields if field in ns}
         cls = super().__new__(mcls, name, bases, ns)
         # the slots' own setters, which skip the __setattr__ that forbids change
         cls._setters = tuple(vars(cls)[field].__set__ for field in fields)
@@ -31,12 +29,11 @@ class _RecordType(type):
 class Record(metaclass=_RecordType):
     """Base of qk's result records.
 
-    A subclass declares its fields, in order, as annotations, and trailing
-    fields may have defaults, as in a dataclass; the fields become the
-    class's ``__slots__``.  Records are built by position or keyword,
-    cannot be changed once built, compare and hash as the tuple of their
-    fields, print as ``Name(field=value, ...)`` and pickle by their field
-    values."""
+    A subclass declares its fields, in order, as annotations without
+    values; the fields become the class's ``__slots__``.  Records are built
+    by position or keyword with every field given, cannot be changed once
+    built, compare and hash as the tuple of their fields, print as
+    ``Name(field=value, ...)`` and pickle by their field values."""
 
     def __init__(self, *args, **kwargs) -> None:
         setters = self._setters
@@ -47,8 +44,7 @@ class Record(metaclass=_RecordType):
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values in order, from positional and keyword values
-        and the defaults."""
+        """The field values in order, from positional and keyword values."""
         names = cls.__slots__
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__}() takes {len(names)} fields, got {len(args)}")
@@ -56,8 +52,6 @@ class Record(metaclass=_RecordType):
         for name in names[len(args):]:
             if name in kwargs:
                 values.append(kwargs.pop(name))
-            elif name in cls._defaults:
-                values.append(cls._defaults[name])
             else:
                 raise TypeError(f"{cls.__name__}() missing field {name!r}")
         if kwargs:

@@ -25,7 +25,7 @@ import random as _random
 from .base import Record
 from .digraph import Digraph, INF, build
 from .errors import InstanceTooLarge, NotQuasiTransitiveInput, QkError
-from .kings import census, degree_step, degree_threshold_vertices, final_disjunction, find_kplus1_king_fast
+from .kings import census, degree_step, degree_threshold_vertices, final_disjunction
 from .kernels import construct_kplus2_kernel
 from .qt import ENUM_CAP, FORWARD, mix_seed, qt_closure, random_qt
 
@@ -89,9 +89,13 @@ def check_component_domination(d: Digraph, k: int):
 
 
 def check_min_path_domination(d: Digraph, k: int):
-    """Arcs forced from the far end (and the vertex before it) of any
-    minimum path of length k+2 back onto the path and into the start's
-    distance ball."""
+    """Arcs forced from the far end v of any minimum u->v path of length
+    k+2 into u's distance ball (radius k for even k, its even distances up
+    to k-1 for odd k), and from the vertex before v back onto the path.
+
+    The ball holds every position the far end must dominate on a minimum
+    path (positions 0..k for even k, the even ones for odd k), so that
+    back-arc fact needs no clause of its own."""
     dm = d.dist
     n = d.n
     fired = False
@@ -102,23 +106,6 @@ def check_min_path_domination(d: Digraph, k: int):
             if row[v] != k + 2:
                 continue
             fired = True
-            # far endpoint dominates positions k-i of every minimum path,
-            # odd offsets for every k, all offsets when k is even
-            offsets = range(0, k + 1) if k % 2 == 0 else range(1, k + 1, 2)
-            clause = (
-                "endpoint-backarc-all-offsets"
-                if k % 2 == 0
-                else "endpoint-backarc-odd-offsets"
-            )
-            for i in offsets:
-                j = k - i
-                for x in range(n):
-                    if row[x] == j and dm[x][v] == k + 2 - j and not d.has_arc(v, x):
-                        out.append((
-                            clause,
-                            (u, v, x, i),
-                            f"{v} must dominate position {j} vertex {x} of minimum {u}->{v} paths",
-                        ))
             # ball domination by the far endpoint
             if k % 2 == 0:
                 for w in range(n):
@@ -307,8 +294,9 @@ def check_unique_initial_equivalence(d: Digraph, k: int):
 
 def check_degree_threshold_kings(d: Digraph, k: int):
     """Every vertex of the unique initial component above the parity degree
-    cutoff is a (k+1)-king, and the fast finder accepts the input: it
-    BFS-verifies its king and raises rather than return a non-king."""
+    cutoff is a (k+1)-king.  The fast finder's vertex, of maximum degree in
+    the component, is one of them, so the finder rejects an input only
+    where this clause fires."""
     if d.cond.initial_component is None:
         return False, []
     out = []
@@ -318,10 +306,6 @@ def check_degree_threshold_kings(d: Digraph, k: int):
             out.append((
                 "threshold-vertex-is-king", (v, ecc[v]), f"threshold vertex {v} has ecc {ecc[v]} > {k + 1}"
             ))
-    try:
-        find_kplus1_king_fast(d, k)
-    except NotQuasiTransitiveInput as exc:
-        out.append(("finder-rejected-input", (), str(exc)))
     return True, out
 
 

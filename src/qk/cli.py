@@ -147,24 +147,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-# command -> module of its handler, imported only when the command runs, so
-# that parsing (and --version) compiles no command code.  The handlers take
-# the argparse types they need from args: under `python -m qk.cli` this
-# module runs as __main__, and an import of qk.cli would compile it again.
-HANDLERS = {
-    "check": "cmd_check",
-    "kings": "cmd_kings",
-    "kernel": "cmd_kernel",
-    "gen": "cmd_gen",
-    "hunt": "cmd_hunt",
-    "lemmas": "cmd_lemmas",
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = import_module(f"{__package__}.{HANDLERS[args.command]}").run(args)
+        # the command's handler, qk.cmd_<command> (argparse admits only the
+        # six command names), is imported only when the command runs, so
+        # that parsing (and --version) compiles no command code.  The
+        # handlers take the argparse types they need from args: under
+        # `python -m qk.cli` this module runs as __main__, and an import of
+        # qk.cli would compile it again.
+        code = import_module(f"{__package__}.cmd_{args.command}").run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

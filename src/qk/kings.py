@@ -91,7 +91,7 @@ class KingReport(Record):
     fast_king: int | None
     max_out_degree: int
     max_out_degree_vertices: tuple[int, ...]
-    counting_audit: tuple[AuditRow, ...] = ()
+    counting_audit: tuple[AuditRow, ...]
 
     @property
     def failed_audits(self) -> tuple[AuditRow, ...]:

@@ -11,6 +11,7 @@ are hand-derived from the distance matrices.
 import hashlib
 import json
 import math
+import random
 import sys
 from collections import Counter
 
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import chorded_path, complete, cycle, d4, long_tournament, path, two_cycles
+import bruteforce
+from instances import chorded_path, complete, cycle, d4, gnp, long_tournament, path, two_cycles
 from json_oracle import jsonable
 import qk.digraph
 from qk import INF, build
@@ -33,7 +35,9 @@ from qk.checks import (
     run_suite,
     summarize,
 )
+from qk.digraph import max_degree_vertex
 from qk.edgelist import emit
+from qk.errors import NotQuasiTransitiveInput
 from qk.kings import census, find_kplus1_king_fast
 from qk.qt import certify_qt, random_qt
 
@@ -112,9 +116,6 @@ class TestMinPathDomination:
         fired, vs = CHECKERS["min-path-domination"](path(5), 2)
         assert fired
         assert pairs(vs) == [
-            ("endpoint-backarc-all-offsets", (0, 4, 2, 0)),
-            ("endpoint-backarc-all-offsets", (0, 4, 1, 1)),
-            ("endpoint-backarc-all-offsets", (0, 4, 0, 2)),
             ("endpoint-dominates-ball", (0, 4, 0, 0)),
             ("endpoint-dominates-ball", (0, 4, 1, 1)),
             ("endpoint-dominates-ball", (0, 4, 2, 2)),
@@ -125,8 +126,6 @@ class TestMinPathDomination:
         fired, vs = CHECKERS["min-path-domination"](path(6), 3)
         assert fired
         assert pairs(vs) == [
-            ("endpoint-backarc-odd-offsets", (0, 5, 2, 1)),
-            ("endpoint-backarc-odd-offsets", (0, 5, 0, 3)),
             ("endpoint-dominates-even-ball", (0, 5, 0, 0)),
             ("endpoint-dominates-even-ball", (0, 5, 2, 2)),
             ("penultimate-backarc-even-offsets", (0, 5, 4, 1, 2)),
@@ -165,6 +164,17 @@ class TestKingTheorems:
         fired, vs = CHECKERS["king-theorems"](path(5), 2)
         assert fired
         assert pairs(vs) == [("distant-target-small-king", (0, 4, INF))]
+
+    def test_distant_target_closure_clause(self):
+        # path 0->1->2->3->4 with back-arcs 4->2 and 3->1: 4 sits at
+        # distance 4 = k+2 from 0 and reaches 1 at distance 3, yet d(0,1)=1
+        d = build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (3, 1)])
+        fired, vs = CHECKERS["king-theorems"](d, 2)
+        assert fired
+        assert pairs(vs) == [
+            ("distant-target-small-king", (0, 4, INF)),
+            ("distant-target-closure", (0, 4, 1, 1)),
+        ]
 
     def test_propagation_clause(self):
         # 0 is a 3-king (chain to 3 plus a shortcut leaf), but the vertex at
@@ -244,10 +254,7 @@ class TestKingSideCheckers:
     def test_degree_threshold_violations(self):
         fired, vs = CHECKERS["degree-threshold-kings"](path(6), 2)
         assert fired
-        assert pairs(vs) == [
-            ("threshold-vertex-is-king", (0, 5)),
-            ("finder-rejected-input", ()),
-        ]
+        assert pairs(vs) == [("threshold-vertex-is-king", (0, 5))]
 
     def test_degree_threshold_skips_multiple_initial(self):
         fired, vs = CHECKERS["degree-threshold-kings"](two_cycles(), 2)
@@ -272,6 +279,46 @@ class TestKingSideCheckers:
         for d, k in [(d4(), 4), (chorded_path(2), 2), (two_cycles(), 2)]:
             fired, vs = CHECKERS[check_id](d, k)
             assert vs == []
+
+
+class TestImpliedFacts:
+    """Two facts that need no clause of their own, since a sibling clause
+    reports every case of them: the far end v of a minimum u->v path of
+    length k+2 dominates the path's positions 0..k (even k) or its even
+    positions (odd k), all of which lie in the ball the endpoint clause
+    scans; and the fast finder's vertex, of maximum degree in the initial
+    component, is above the degree cutoff.  Checked on seeded random
+    digraphs of any kind, with distances from Floyd-Warshall."""
+
+    def test_sibling_clause_reports_every_case(self):
+        rng = random.Random(36)
+        backarcs = rejected = 0
+        for _ in range(2000):
+            k = rng.randint(2, 6)
+            n = rng.randint(2, 12)
+            d = gnp(n, rng.uniform(1, 3) / n, rng.getrandbits(32))
+            fd = bruteforce.floyd_distances(d)
+            arcs = set(d.arcs())
+            ball = "endpoint-dominates-ball" if k % 2 == 0 else "endpoint-dominates-even-ball"
+            positions = range(0, k + 1) if k % 2 == 0 else range(0, k, 2)
+            found = set(pairs(CHECKERS["min-path-domination"](d, k)[1]))
+            for u in range(n):
+                for v in range(n):
+                    if fd[u][v] != k + 2:
+                        continue
+                    for j in positions:
+                        for x in range(n):
+                            if fd[u][x] == j and fd[x][v] == k + 2 - j and (v, x) not in arcs:
+                                backarcs += 1
+                                assert (ball, (u, v, x, j)) in found
+            try:
+                find_kplus1_king_fast(d, k)
+            except NotQuasiTransitiveInput:
+                rejected += 1
+                king = max_degree_vertex(d.masks, d.cond.initial_component)
+                found = pairs(CHECKERS["degree-threshold-kings"](d, k)[1])
+                assert ("threshold-vertex-is-king", (king, max(fd[king]))) in found
+        assert backarcs > 0 and rejected > 0
 
 
 # (check_id, k, reporting instance, an instance where the claim holds)
@@ -350,11 +397,11 @@ RECORD_CORPORA = {
 RECORD_DIGESTS = {
     "distance-dichotomy": ("1b022b82e269fe349ae3eb87a38afd25c9027f89636fe0184f51de9e2095b618", 35),
     "component-domination": ("4c389fb475100df93e4dbb8ff05e0cea1ef96c72f6f5d5264bbd8ed5bec8e73e", 35),
-    "min-path-domination": ("ec3b6e7c427b64840a6cc7df01bdbad71d2110e6bba9b462dae3685f1f3b3ed5", 43),
+    "min-path-domination": ("e9ea7d110117c9fd583678754092ad92a0d67578b8ff08f49134ed4d91cdaa22", 25),
     "degree-growth": ("56fb271e5cb6c0cd8c3157b8faec52b97132f0b29432968b2ee5105e32860707", 6),
     "king-theorems": ("29de4948e43f7dd7748da0aa2d89bac4bf9261ca1b9372fa0d28d1ebefbca182", 8),
     "unique-initial-equivalence": ("4bde55e6b218995fee075434ae8a3fe113d812e269595b28a173aeaf55ad2320", 4),
-    "degree-threshold-kings": ("30166fa621df706a035fe54d7114302dffb9af1bf54cb35440e9a1acd816d47f", 8),
+    "degree-threshold-kings": ("69ce3fb765fe70b8acb057b12138666a61e791722652231edfe50c75473a3f32", 4),
     "census-audits": ("ed33064d9eb728d26d1e693ec8751eb57e19f27fd00544e7df256a71ae44ae5f", 13),
     "kernel-construction": ("2d1ade4a81b0e865385851122bf639dd251274a59d91452e82c791b28e5888f7", 4),
 }

@@ -69,7 +69,7 @@ def test_writer_matches_the_oracle(doc):
 
 
 def test_report_record_matches_the_oracle():
-    rep = KingReport(3, (0.0, 1.0, math.inf), {4: (0,), 10: ()}, True, (0,), 0, 2, (0,))
+    rep = KingReport(3, (0.0, 1.0, math.inf), {4: (0,), 10: ()}, True, (0,), 0, 2, (0,), ())
     doc = {"command": "kings", "input_digest": None, "result": rep, "tool_version": "0.1.0"}
     assert written(doc) == dumps(doc)
     assert json.loads(written(rep))["ecc_out"] == [0, 1, None]

@@ -1,4 +1,5 @@
-"""Eccentricities, r-kings, the degree-based finder, and census audits."""
+"""Eccentricities, r-kings, the degree-based finder, census audits, and
+the argument checks of the library entry points."""
 
 import random
 
@@ -22,6 +23,7 @@ from qk import digraph
 from qk.checks import check_king_theorems
 from qk.digraph import max_degree_vertex
 from qk.errors import NotQuasiTransitiveInput, VertexOutOfRange
+from qk.kernels import hunt_conjecture
 from qk.kings import (
     all_r_kings,
     census,
@@ -376,3 +378,18 @@ class TestFinalDisjunction:
         assert final_disjunction(k, d.cond.initial_component, d.ecc) == (row, witness, detail)
         _, found = check_king_theorems(d, k)
         assert ("final-disjunction", witness, detail) in found
+
+
+ARGUMENT_CHECKS = {
+    "degree_threshold_vertices": (lambda: degree_threshold_vertices(d4(), 1), "k must be >= 2"),
+    "census": (lambda: census(build(0, []), 2), "census needs at least one vertex"),
+    "certify_qt": (lambda: certify_qt(d4(), 1), "k must be >= 2"),
+    "build": (lambda: build(-1, []), "vertex count must be >= 0"),
+    "hunt_conjecture": (lambda: hunt_conjecture(2, trials=1, radii=(0, 1)), "kernel radii must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CHECKS.values(), ids=list(ARGUMENT_CHECKS))
+def test_argument_check_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

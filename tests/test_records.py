@@ -27,7 +27,7 @@ SAMPLES = [
     Counterexample(2, (5, 1), 3, ((0, 1),), 7, 99),
     HuntLedger(2, (3, 2), 5, 9, 0, 5, {1: 4, 2: 1}, ()),
     AuditRow("tag", "expected", 3, None),
-    KingReport(2, (0.0, math.inf), {3: (0,)}, True, (0,), 0, 1, (0,)),
+    KingReport(2, (0.0, math.inf), {3: (0,)}, True, (0,), 0, 1, (0,), ()),
     QtViolation((0, 1, 2)),
 ]
 
@@ -91,9 +91,6 @@ class TestEveryRecord:
 
 
 class TestConstruction:
-    def test_defaults(self):
-        assert KingReport(2, (), {}, False, None, None, 0, ()).counting_audit == ()
-
     def test_missing_field(self):
         with pytest.raises(TypeError, match="missing field 'seed'"):
             Counterexample(2, (5, 1), 3, ((0, 1),), 7)
